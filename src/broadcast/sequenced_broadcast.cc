@@ -67,7 +67,10 @@ bool SequencedBroadcast::submit(const std::vector<Command>& cmds) {
   if (leader_of(view_) != index_ || view_changing_) return false;
   if (pending_.empty()) pending_since_ns_ = now_ns();
   pending_.insert(pending_.end(), cmds.begin(), cmds.end());
-  if (pending_.size() >= config_.batch_max) propose_locked();
+  // Self-clocked: propose now unless the latest proposal is still in flight,
+  // in which case only full batches leave and its commit sends the rest.
+  const bool idle = !proposal_in_flight_locked();
+  if (idle || pending_.size() >= config_.batch_max) propose_locked(idle);
   return true;
 }
 
@@ -78,14 +81,16 @@ void SequencedBroadcast::broadcast_to_replicas_locked(const MessagePtr& m) {
   }
 }
 
-void SequencedBroadcast::propose_locked() {
-  while (!pending_.empty()) {
+void SequencedBroadcast::propose_locked(bool partial) {
+  while (pending_.size() >= config_.batch_max ||
+         (partial && !pending_.empty())) {
     const std::size_t take = std::min(pending_.size(), config_.batch_max);
     std::vector<Command> batch(pending_.begin(),
                                pending_.begin() + static_cast<long>(take));
     pending_.erase(pending_.begin(), pending_.begin() + static_cast<long>(take));
 
     const std::uint64_t seq = next_seq_++;
+    last_proposed_seq_ = seq;
     metrics_.proposals.inc();
     Slot& slot = log_[seq];
     slot.view = view_;
@@ -95,13 +100,25 @@ void SequencedBroadcast::propose_locked() {
         make_message<AcceptMsg>(view_, seq, std::move(batch)));
 
     // Single-replica deployments (n = 1): self-ack is already a majority.
-    if (slot.acks.size() * 2 > replicas_.size()) {
-      slot.committed = true;
-      broadcast_to_replicas_locked(make_message<CommitMsg>(view_, seq));
-    }
+    if (slot.acks.size() * 2 > replicas_.size()) commit_locked(seq, slot);
     last_heartbeat_sent_ns_ = now_ns();  // proposals count as liveness
   }
+  // What is left arrived in the current submit() (an earlier one would have
+  // filled a batch), so the stall fallback starts counting now.
+  if (!pending_.empty()) pending_since_ns_ = now_ns();
   try_deliver_locked();
+}
+
+bool SequencedBroadcast::proposal_in_flight_locked() const {
+  if (last_proposed_seq_ == 0) return false;
+  const auto it = log_.find(last_proposed_seq_);
+  return it != log_.end() && !it->second.committed;
+}
+
+void SequencedBroadcast::commit_locked(std::uint64_t seq, Slot& slot) {
+  slot.committed = true;
+  slot.commit_view = view_;
+  broadcast_to_replicas_locked(make_message<CommitMsg>(view_, seq));
 }
 
 void SequencedBroadcast::try_deliver_locked() {
@@ -208,18 +225,26 @@ void SequencedBroadcast::on_accepted(int from_index, const AcceptedMsg& m) {
   if (it == log_.end()) return;
   Slot& slot = it->second;
   if (slot.committed) {
-    // Late ACCEPTED (typically after a view change) for a slot we already
-    // committed: the sender may still be missing the COMMIT, so re-send it
-    // point-to-point.
-    net_.send(self_, replicas_[static_cast<std::size_t>(from_index)],
-              make_message<CommitMsg>(view_, m.seq));
+    // Late ACCEPTED for a committed slot. If this view broadcast the COMMIT,
+    // it follows the ACCEPT on the same FIFO link and needs no repeat. A slot
+    // committed before a view change (delivered here under an earlier
+    // leader) got no COMMIT in this view, so re-send it point-to-point.
+    if (slot.commit_view != view_) {
+      net_.send(self_, replicas_[static_cast<std::size_t>(from_index)],
+                make_message<CommitMsg>(view_, m.seq));
+    }
     return;
   }
   slot.acks.insert(from_index);
-  if (!slot.committed && slot.acks.size() * 2 > replicas_.size()) {
-    slot.committed = true;
-    broadcast_to_replicas_locked(make_message<CommitMsg>(view_, m.seq));
-    try_deliver_locked();
+  if (slot.acks.size() * 2 > replicas_.size()) {
+    commit_locked(m.seq, slot);
+    // Self-clocking: the commit that clears the in-flight proposal sends
+    // what accumulated behind it (propose_locked also delivers).
+    if (!proposal_in_flight_locked()) {
+      propose_locked(true);
+    } else {
+      try_deliver_locked();
+    }
   }
 }
 
@@ -291,6 +316,7 @@ void SequencedBroadcast::start_view_change_locked(std::uint64_t target_view) {
   target_view_ = target_view;
   view_change_msgs_.clear();
   pending_.clear();  // clients will retransmit
+  last_proposed_seq_ = 0;  // a new leader proposes at once
   last_leader_activity_ns_ = now_ns();
 
   auto vc = std::make_shared<const ViewChangeMsg>(
@@ -384,12 +410,17 @@ void SequencedBroadcast::timer_loop() {
     const std::uint64_t now = now_ns();
     const bool am_leader = leader_of(view_) == index_ && !view_changing_;
     if (am_leader) {
+      // Stall fallback: commands held behind a proposal that has not
+      // committed within batch_timeout leave anyway.
       if (!pending_.empty() &&
           now - pending_since_ns_ >= config_.batch_timeout_us * 1000ull) {
-        propose_locked();
+        propose_locked(true);
       }
-      if (now - last_heartbeat_sent_ns_ >=
-          config_.heartbeat_interval_ms * 1'000'000ull) {
+      // Written as a sum: a proposal above (or one made while the deliver
+      // callback ran unlocked) stamps the heartbeat clock after `now`, and
+      // `now - last_heartbeat_sent_ns_` would wrap around.
+      if (now >= last_heartbeat_sent_ns_ +
+                     config_.heartbeat_interval_ms * 1'000'000ull) {
         metrics_.heartbeats.inc();
         broadcast_to_replicas_locked(
             make_message<HeartbeatMsg>(view_, last_delivered_));

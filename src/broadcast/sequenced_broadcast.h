@@ -6,12 +6,23 @@
 // Viewstamped-Replication-style view change for leader failure).
 //
 // Normal case:
-//   submit(cmds) at the leader appends to the pending batch; the batch is
-//   proposed when it reaches batch_max commands or batch_timeout elapses.
-//   The leader assigns the next sequence number and sends ACCEPT(view, seq,
-//   batch); replicas log it and answer ACCEPTED; on a majority (counting
-//   itself) the leader sends COMMIT; every replica delivers committed
-//   batches in sequence order (gap-free) through the deliver callback.
+//   The leader assigns the next sequence number to a batch and sends
+//   ACCEPT(view, seq, batch); replicas log it and answer ACCEPTED; on a
+//   majority (counting itself) the leader broadcasts COMMIT once; every
+//   replica delivers committed batches in sequence order (gap-free) through
+//   the deliver callback.
+//
+// Self-clocked proposals (the ordering pipeline of arXiv 1311.6183):
+//   submit(cmds) at the leader proposes at once when the leader's most
+//   recent proposal is already committed. While that proposal is
+//   uncommitted, new commands accumulate, and the commit that clears it
+//   proposes whatever accumulated as the next batch. A batch still leaves at
+//   once when it reaches batch_max commands. "In flight" means the latest
+//   proposal, not a count of uncommitted slots, so a slot stuck by a lost
+//   message cannot throttle later proposals; a view change clears it.
+//   batch_timeout is only the stall fallback: the timer proposes commands
+//   that waited that long, checked at tick granularity. Under load the batch
+//   size follows the commit round trip, with no timer in the path.
 //
 // Leader failure:
 //   The leader heartbeats when idle. A replica that hears nothing for
@@ -30,15 +41,17 @@
 // each batch is delivered at most once per replica.
 //
 // Threading: handle() is invoked by the network endpoint dispatcher;
-// submit() by any thread; an internal timer thread drives batching,
-// heartbeats and failure detection. All state is guarded by one mutex; the
-// deliver callback is invoked while *not* holding it, in delivery order.
+// submit() by any thread; an internal timer thread, woken every
+// tick_interval, sends the leader's heartbeats, detects leader failure and
+// runs the batch_timeout stall fallback. All state is guarded by one mutex;
+// the deliver callback is invoked while *not* holding it, in delivery order.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -55,6 +68,8 @@ class SequencedBroadcast {
  public:
   struct Config {
     std::size_t batch_max = 64;
+    // Stall fallback for commands accumulated behind an uncommitted
+    // proposal (checked once per tick).
     std::uint64_t batch_timeout_us = 500;
     std::uint64_t heartbeat_interval_ms = 10;
     std::uint64_t leader_timeout_ms = 100;
@@ -121,6 +136,8 @@ class SequencedBroadcast {
     std::set<int> acks;  // replica indices that ACCEPTED (leader only)
     bool committed = false;
     bool delivered = false;
+    // View in which this replica broadcast the slot's COMMIT, if it did.
+    std::optional<std::uint64_t> commit_view;
   };
 
   int leader_of(std::uint64_t v) const {
@@ -141,7 +158,12 @@ class SequencedBroadcast {
   // All of the following require mu_ held. try_deliver_locked releases and
   // reacquires mu_ around the deliver callback (directly on the mutex, so
   // the static analysis and the rank checker both track it).
-  void propose_locked() PSMR_REQUIRES(mu_);
+  // Proposes pending commands in batches of at most batch_max; with
+  // `partial` false only full batches leave and the rest keeps accumulating.
+  void propose_locked(bool partial) PSMR_REQUIRES(mu_);
+  // True while the latest proposal of this leader is uncommitted.
+  bool proposal_in_flight_locked() const PSMR_REQUIRES(mu_);
+  void commit_locked(std::uint64_t seq, Slot& slot) PSMR_REQUIRES(mu_);
   void try_deliver_locked() PSMR_REQUIRES(mu_);
   void broadcast_to_replicas_locked(const MessagePtr& m) PSMR_REQUIRES(mu_);
   void start_view_change_locked(std::uint64_t target_view)
@@ -176,6 +198,8 @@ class SequencedBroadcast {
   // next_seq_: leader's next slot to assign; last_delivered_: highest
   // gap-free delivered slot.
   std::uint64_t next_seq_ PSMR_GUARDED_BY(mu_) = 1;
+  // Slot of the leader's latest proposal in this view (0: none).
+  std::uint64_t last_proposed_seq_ PSMR_GUARDED_BY(mu_) = 0;
   std::uint64_t last_delivered_ PSMR_GUARDED_BY(mu_) = 0;
   std::map<std::uint64_t, Slot> log_ PSMR_GUARDED_BY(mu_);
   std::vector<Command> pending_ PSMR_GUARDED_BY(mu_);

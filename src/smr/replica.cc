@@ -10,12 +10,6 @@
 
 namespace psmr {
 
-namespace {
-// Reply-cache entries older than this (per client, in client_seq distance)
-// are pruned; clients never have anywhere near this many outstanding.
-constexpr std::uint64_t kReplyCacheWindow = 1024;
-}  // namespace
-
 Replica::Replica(Transport& net, int index, std::unique_ptr<Service> service,
                  Config config)
     : net_(net),
@@ -180,10 +174,11 @@ void Replica::on_request(NodeId from, const RequestMsg& m) {
     for (Command c : m.commands) {
       c.client = static_cast<std::uint64_t>(from);  // authoritative source
       auto it = clients_.find(c.client);
-      if (it != clients_.end()) {
-        auto cached = it->second.replies.find(c.client_seq);
-        if (cached != it->second.replies.end()) {
-          const Response& r = cached->second;
+      if (it != clients_.end() && !it->second.replies.empty() &&
+          c.client_seq != 0) {
+        const Response& r =
+            it->second.replies[c.client_seq % kReplyCacheWindow];
+        if (r.client_seq == c.client_seq) {
           metrics_.reply_cache_hits.inc();
           net_.send(endpoint_, from,
                     make_message<ReplyMsg>(r.client_seq, r.value, r.ok));
@@ -267,17 +262,13 @@ void Replica::execute_and_reply(const Command& c) {
   if (c.client == 0) return;  // internally generated (tests)
   {
     MutexLock lock(clients_mu_);
-    auto& state = clients_[c.client];
-    state.replies[c.client_seq] = r;
-    // Bounded cache: drop entries far behind.
-    if (state.replies.size() > kReplyCacheWindow) {
-      for (auto it = state.replies.begin(); it != state.replies.end();) {
-        if (it->first + kReplyCacheWindow < c.client_seq) {
-          it = state.replies.erase(it);
-        } else {
-          ++it;
-        }
-      }
+    auto& replies = clients_[c.client].replies;
+    if (replies.empty()) replies.resize(kReplyCacheWindow);
+    // Keep the newer command if two a window apart finish out of order.
+    Response& slot = replies[c.client_seq % kReplyCacheWindow];
+    if (slot.client_seq < c.client_seq) {
+      slot = r;
+      slot.client_seq = c.client_seq;  // the tag
     }
   }
   net_.send(endpoint_, static_cast<NodeId>(c.client),

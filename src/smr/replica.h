@@ -41,6 +41,11 @@ namespace psmr {
 
 class Replica {
  public:
+  // Per-client reply-cache window, in client_seq distance: a retransmission
+  // of one of a client's last kReplyCacheWindow executed commands is
+  // answered from the cache; older ones fall through to scheduler dedup.
+  static constexpr std::uint64_t kReplyCacheWindow = 1024;
+
   struct Config {
     // How delivery order becomes execution order: the COS dependency
     // graph (default), early scheduling (class-routed worker queues, DAG
@@ -165,9 +170,14 @@ class Replica {
   // Per-client at-most-once state. clients_mu_ is held across net_.send on
   // the reply-cache hit path (its rank precedes the transport rank) and is
   // never held together with COS locks.
+  //
+  // The reply cache is a ring of kReplyCacheWindow slots indexed by
+  // client_seq % kReplyCacheWindow and tagged by the Response's client_seq
+  // (never 0 for an executed command), sized on the client's first reply:
+  // O(1) lookup and insert under clients_mu_, no allocation after that.
   struct ClientState {
     std::uint64_t max_inserted_seq = 0;
-    std::unordered_map<std::uint64_t, Response> replies;  // bounded
+    std::vector<Response> replies;  // empty until the first reply
   };
   mutable RankedMutex<lock_rank::kReplicaClients> clients_mu_;
   std::unordered_map<std::uint64_t, ClientState> clients_

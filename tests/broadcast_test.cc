@@ -3,10 +3,13 @@
 // leader-failure recovery via view change.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -23,11 +26,18 @@ Command cmd(std::uint64_t tag) {
 }
 
 // Harness: n broadcast engines over a simulated network, each recording its
-// delivery sequence.
+// delivery sequence and counting the protocol messages it receives.
 class BroadcastHarness {
  public:
+  // Returns true to drop message `m` on its way to engine `to` (a lost
+  // message); fixed at construction.
+  using DropFn = std::function<bool(int to, const MessagePtr& m)>;
+
   explicit BroadcastHarness(int n, SimNetwork::Config net_config = {},
-                            SequencedBroadcast::Config config = {}) {
+                            SequencedBroadcast::Config config = {},
+                            DropFn drop = nullptr)
+      : drop_(std::move(drop)),
+        received_(static_cast<std::size_t>(n)) {
     net_ = std::make_unique<SimNetwork>(net_config);
     deliveries_.resize(static_cast<std::size_t>(n));
     mus_ = std::vector<std::mutex>(static_cast<std::size_t>(n));
@@ -36,9 +46,12 @@ class BroadcastHarness {
       const int index = i;
       endpoints.push_back(net_->add_endpoint(
           [this, index](NodeId from, MessagePtr m) {
-            if (engines_ready_.load()) {
-              engines_[static_cast<std::size_t>(index)]->handle(from, m);
-            }
+            if (!engines_ready_.load()) return;
+            if (drop_ && drop_(index, m)) return;
+            received_[static_cast<std::size_t>(index)]
+                     [static_cast<std::size_t>(m->type)]
+                         .fetch_add(1);
+            engines_[static_cast<std::size_t>(index)]->handle(from, m);
           }));
     }
     for (int i = 0; i < n; ++i) {
@@ -87,7 +100,33 @@ class BroadcastHarness {
 
   int size() const { return static_cast<int>(engines_.size()); }
 
+  // Messages of `type` (msg::k*) engine i has received and handled.
+  std::uint64_t received(int i, int type) const {
+    return received_[static_cast<std::size_t>(i)]
+                    [static_cast<std::size_t>(type)]
+                        .load();
+  }
+
+  // Waits until engine i received at least `count` messages of `type`.
+  bool wait_received(int i, int type, std::uint64_t count,
+                     int timeout_ms = 5000) const {
+    for (int t = 0; t < timeout_ms; ++t) {
+      if (received(i, type) >= count) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  }
+
+  // Distinct slots among the commands engine i delivered.
+  std::set<std::uint64_t> delivered_slots(int i) {
+    std::set<std::uint64_t> slots;
+    for (const auto& [seq, tag] : delivered(i)) slots.insert(seq);
+    return slots;
+  }
+
  private:
+  const DropFn drop_;
+  std::vector<std::array<std::atomic<std::uint64_t>, 16>> received_;
   std::unique_ptr<SimNetwork> net_;
   std::vector<NodeId> endpoints_;
   std::vector<std::unique_ptr<SequencedBroadcast>> engines_;
@@ -330,6 +369,134 @@ TEST(Broadcast, CascadedViewChangeSkipsDeadLeaders) {
   EXPECT_GE(h.engine(2).view(), 2u);
   EXPECT_TRUE(h.engine(2).submit({cmd(999)}));
   ASSERT_TRUE(h.wait_delivered(3, 11));
+}
+
+// Self-clocked proposals: the ordering tick and the batch timeout are set to
+// seconds, so only the submit itself can send a lone command on its way.
+SequencedBroadcast::Config slow_clock_broadcast() {
+  SequencedBroadcast::Config config;
+  config.batch_timeout_us = 5'000'000;
+  config.tick_interval_ms = 5000;
+  config.heartbeat_interval_ms = 5000;
+  config.leader_timeout_ms = 60'000;
+  return config;
+}
+
+TEST(BroadcastSelfClock, LoneSubmitOnIdleLeaderIsProposedAtOnce) {
+  BroadcastHarness h(3, fast_net(), slow_clock_broadcast());
+  ASSERT_TRUE(h.engine(0).submit({cmd(42)}));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(h.wait_delivered(i, 1, 1000)) << "replica " << i;
+  }
+  EXPECT_EQ(h.delivered(1)[0].second, 42u);
+}
+
+TEST(BroadcastSelfClock, CommandsBehindAnUncommittedProposalLeaveAsOneBatch) {
+  // A 20-ms link keeps the first proposal uncommitted while the rest is
+  // submitted; batch_max 8 caps the accumulated batch.
+  SimNetwork::Config slow_net;
+  slow_net.base_latency_us = 20'000;
+  slow_net.jitter_us = 1;
+  auto config = slow_clock_broadcast();
+  config.batch_max = 8;
+  BroadcastHarness h(3, slow_net, config);
+  ASSERT_TRUE(h.engine(0).submit({cmd(0)}));
+  for (std::uint64_t tag = 1; tag <= 11; ++tag) {
+    ASSERT_TRUE(h.engine(0).submit({cmd(tag)}));
+  }
+  ASSERT_TRUE(h.wait_delivered(1, 12));
+  std::map<std::uint64_t, std::uint64_t> slot_of;  // tag -> slot
+  for (const auto& [seq, tag] : h.delivered(1)) slot_of[tag] = seq;
+  // Tag 0 went alone; tags 1..8 filled a batch and left at once; 9..11
+  // waited for a commit and then left together.
+  EXPECT_EQ(h.delivered_slots(1).size(), 3u);
+  for (std::uint64_t tag = 1; tag <= 8; ++tag) {
+    EXPECT_NE(slot_of[tag], slot_of[0]) << "tag " << tag;
+    EXPECT_EQ(slot_of[tag], slot_of[1]) << "tag " << tag;
+  }
+  for (std::uint64_t tag = 9; tag <= 11; ++tag) {
+    EXPECT_NE(slot_of[tag], slot_of[1]) << "tag " << tag;
+    EXPECT_EQ(slot_of[tag], slot_of[9]) << "tag " << tag;
+  }
+}
+
+TEST(BroadcastSelfClock, StuckSlotDoesNotThrottleLaterProposals) {
+  // Every ACCEPTED for slot 1 is lost, so slot 1 never commits. The next
+  // command waits for the stall fallback; once that proposal commits, the
+  // leader is self-clocked again despite the stuck slot.
+  auto config = fast_broadcast();
+  config.batch_timeout_us = 300'000;
+  BroadcastHarness h(
+      3, fast_net(), config, [](int to, const MessagePtr& m) {
+        return to == 0 && m->type == msg::kAccepted &&
+               message_as<AcceptedMsg>(m).seq == 1;
+      });
+  ASSERT_TRUE(h.engine(0).submit({cmd(1)}));
+  ASSERT_TRUE(h.wait_received(1, msg::kAccept, 1));
+  ASSERT_TRUE(h.engine(0).submit({cmd(2)}));  // behind stuck slot 1
+  ASSERT_TRUE(h.wait_received(1, msg::kAccept, 2));  // the fallback
+  ASSERT_TRUE(h.wait_received(1, msg::kCommit, 1));  // slot 2 committed
+  ASSERT_TRUE(h.engine(0).submit({cmd(3)}));
+  // Well inside the 300-ms fallback: the submit proposed it.
+  EXPECT_TRUE(h.wait_received(1, msg::kAccept, 3, 150));
+  EXPECT_TRUE(h.delivered(1).empty());  // slot 1 still blocks delivery
+}
+
+TEST(BroadcastSelfClock, NewLeaderProposesAtOnceAfterViewChange) {
+  auto config = fast_broadcast();
+  config.batch_timeout_us = 5'000'000;  // only self-clocking can be quick
+  BroadcastHarness h(3, fast_net(), config);
+  ASSERT_TRUE(h.engine(0).submit({cmd(1)}));
+  ASSERT_TRUE(h.wait_delivered(2, 1));
+  h.net().crash(0);
+  for (int t = 0; t < 1000 && !h.engine(1).is_leader(); ++t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(h.engine(1).is_leader());
+  ASSERT_TRUE(h.engine(1).submit({cmd(2)}));
+  ASSERT_TRUE(h.wait_delivered(2, 2, 2000));
+  EXPECT_EQ(h.delivered(2).back().second, 2u);
+}
+
+TEST(BroadcastHeartbeat, TimerDrivenProposalsSuppressHeartbeats) {
+  // All ACCEPTEDs are lost, so every proposal stays in flight and commands
+  // leave only on the stall fallback (every tick). Each of those proposals
+  // counts as liveness, so no heartbeat goes out between them.
+  auto config = fast_broadcast();
+  config.batch_timeout_us = 0;
+  config.heartbeat_interval_ms = 200;
+  config.leader_timeout_ms = 10'000;
+  BroadcastHarness h(3, fast_net(), config, [](int to, const MessagePtr& m) {
+    return to == 0 && m->type == msg::kAccepted;
+  });
+  ASSERT_TRUE(h.engine(0).submit({cmd(0)}));
+  ASSERT_TRUE(h.wait_received(1, msg::kAccept, 1));
+  const std::uint64_t heartbeats = h.received(1, msg::kHeartbeat);
+  for (std::uint64_t tag = 1; tag <= 100; ++tag) {
+    ASSERT_TRUE(h.engine(0).submit({cmd(tag)}));
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  ASSERT_TRUE(h.wait_received(1, msg::kAccept, 10));
+  const std::uint64_t proposals = h.received(1, msg::kAccept);
+  EXPECT_EQ(h.received(1, msg::kHeartbeat), heartbeats)
+      << "after " << proposals << " timer-driven proposals";
+}
+
+TEST(BroadcastCommit, SteadyStateSendsOneCommitPerFollowerPerSlot) {
+  BroadcastHarness h(3, fast_net(), fast_broadcast());
+  constexpr std::uint64_t kCommands = 300;
+  for (std::uint64_t tag = 0; tag < kCommands; ++tag) {
+    ASSERT_TRUE(h.engine(0).submit({cmd(tag)}));
+    if (tag % 10 == 0) std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(h.wait_delivered(i, kCommands));
+  // Let late ACCEPTEDs arrive: they must not trigger extra COMMITs.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::size_t slots = h.delivered_slots(0).size();
+  ASSERT_GT(slots, 1u);
+  EXPECT_EQ(h.received(1, msg::kCommit) + h.received(2, msg::kCommit),
+            2 * slots);  // n - 1 per slot
+  EXPECT_EQ(h.received(0, msg::kCommit), 0u);
 }
 
 }  // namespace

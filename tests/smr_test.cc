@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "app/bank_service.h"
@@ -482,6 +484,108 @@ TEST(SmrDedup, RetransmissionsExecuteAtMostOnce) {
     EXPECT_EQ(list.size(), deployment.replica(i).executed_count())
         << "duplicate execution at replica " << i;
   }
+}
+
+// A hand-driven client endpoint: sends requests with chosen client_seqs to
+// every replica and records each reply it gets.
+class RawClient {
+ public:
+  explicit RawClient(Deployment& deployment) : net_(deployment.net()) {
+    for (int i = 0; i < deployment.replica_count(); ++i) {
+      replicas_.push_back(deployment.replica(i).endpoint());
+    }
+    endpoint_ = net_.add_endpoint([this](NodeId /*from*/, MessagePtr m) {
+      if (m->type != msg::kReply) return;
+      const auto& reply = message_as<ReplyMsg>(m);
+      std::lock_guard lock(mu_);
+      replies_[reply.client_seq].push_back(reply.value);
+    });
+  }
+  ~RawClient() { net_.remove_endpoint(endpoint_); }
+
+  void send(std::vector<Command> cmds) {
+    auto m = make_message<RequestMsg>(std::move(cmds));
+    for (NodeId replica : replicas_) net_.send(endpoint_, replica, m);
+  }
+
+  std::vector<std::uint64_t> replies(std::uint64_t seq) {
+    std::lock_guard lock(mu_);
+    return replies_[seq];
+  }
+
+  bool wait_replies(std::uint64_t seq, std::size_t count) {
+    for (int t = 0; t < 5000; ++t) {
+      if (replies(seq).size() >= count) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  }
+
+ private:
+  Transport& net_;
+  std::vector<NodeId> replicas_;  // NOLINT(psmr-guarded-by-coverage) set in the constructor, before any traffic
+  NodeId endpoint_ = -1;  // NOLINT(psmr-guarded-by-coverage) set in the constructor, before any traffic
+  std::mutex mu_;  // NOLINT(psmr-raw-mutex) test client; guards replies_ only
+  std::map<std::uint64_t, std::vector<std::uint64_t>> replies_;  // NOLINT(psmr-guarded-by-coverage) guarded by mu_ (test-local)
+};
+
+TEST(SmrDedup, ReplyCacheRingAnswersInWindowRetransmissions) {
+  // One client runs more than two windows of commands, so every ring slot
+  // is overwritten at least twice. All commands touch one key: odd seqs put
+  // 10 * seq, even seqs get it, so a get's reply names the put before it.
+  Deployment::Config config =
+      make_config(SchedulerPolicy::kCosDag, CosKind::kLockFree, 2);
+  config.replicas = 1;
+  Deployment deployment(config, [] { return std::make_unique<KvService>(); });
+  deployment.start();
+  RawClient client(deployment);
+  KvService builder;
+  auto command = [&](std::uint64_t seq) {
+    Command c = seq % 2 == 1 ? builder.make_put(7, 10 * seq)
+                             : builder.make_get(7);
+    c.client_seq = seq;
+    return c;
+  };
+  constexpr std::uint64_t kCommands = 2 * Replica::kReplyCacheWindow + 100;
+  constexpr std::uint64_t kChunk = 64;
+  for (std::uint64_t first = 1; first <= kCommands; first += kChunk) {
+    std::vector<Command> chunk;
+    for (std::uint64_t seq = first;
+         seq < first + kChunk && seq <= kCommands; ++seq) {
+      chunk.push_back(command(seq));
+    }
+    client.send(std::move(chunk));
+    ASSERT_TRUE(client.wait_replies(std::min(first + kChunk - 1, kCommands), 1));
+  }
+  Replica& replica = deployment.replica(0);
+  ASSERT_EQ(replica.executed_count(), kCommands);
+  Counter& cache_hits =
+      MetricsRegistry::global().counter("replica.reply_cache_hits");
+
+  // In window: answered from the cache with the original value (the key now
+  // holds 10 * (kCommands - 1), which a re-execution would return).
+  const std::uint64_t in_window = kCommands - 10;
+  ASSERT_EQ(in_window % 2, 0u);
+  const std::uint64_t hits_before = cache_hits.value();
+  client.send({command(in_window)});
+  ASSERT_TRUE(client.wait_replies(in_window, 2));
+  EXPECT_EQ(client.replies(in_window)[1], 10 * (in_window - 1));
+  EXPECT_EQ(client.replies(in_window)[0], client.replies(in_window)[1]);
+  if constexpr (kMetricsEnabled) {
+    EXPECT_EQ(cache_hits.value() - hits_before, 1u);
+  }
+  EXPECT_EQ(replica.executed_count(), kCommands);
+
+  // Out of window: its slot holds a later seq, so the request is ordered
+  // and dropped by the scheduler's dedup. A fresh command behind it on the
+  // same link shows when it has been processed.
+  const std::uint64_t out_of_window = 2;
+  client.send({command(out_of_window)});
+  client.send({command(kCommands + 1)});
+  ASSERT_TRUE(client.wait_replies(kCommands + 1, 1));
+  EXPECT_EQ(replica.executed_count(), kCommands + 1);
+  EXPECT_EQ(client.replies(out_of_window).size(), 1u);
+  deployment.stop();
 }
 
 }  // namespace
