@@ -13,20 +13,18 @@ Response KvService::execute(const Command& c) {
   auto& shard = shards_[c.keys[0]];
   const std::uint64_t user_key = c.keys[1];
   switch (c.op) {
-    case kGet: {
-      auto it = shard.find(user_key);
-      if (it != shard.end()) {
-        r.value = it->second;
+    case kGet:
+      if (const std::uint64_t* value = shard.find(user_key)) {
+        r.value = *value;
         r.ok = true;
       }
       break;
-    }
     case kPut:
-      shard[user_key] = c.arg;
+      shard.put(user_key, c.arg);
       r.ok = true;
       break;
     case kDel:
-      r.ok = shard.erase(user_key) > 0;
+      r.ok = shard.erase(user_key);
       break;
     default:
       break;
@@ -36,14 +34,14 @@ Response KvService::execute(const Command& c) {
 
 std::uint64_t KvService::state_digest() const {
   // Order-independent: XOR of per-entry mixes, so iteration order of the
-  // hash maps does not matter.
+  // hash tables does not matter.
   std::uint64_t h = 0;
   for (const auto& shard : shards_) {
-    for (const auto& [key, value] : shard) {
+    shard.for_each([&h](std::uint64_t key, std::uint64_t value) {
       std::uint64_t z = key * 0x9E3779B97F4A7C15ull + value;
       z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
       h ^= z ^ (z >> 27);
-    }
+    });
   }
   return h;
 }
@@ -59,10 +57,10 @@ std::vector<std::uint8_t> KvService::snapshot() const {
   out.put_varint(shards_.size());
   for (const auto& shard : shards_) {
     out.put_varint(shard.size());
-    for (const auto& [key, value] : shard) {
+    shard.for_each([&out](std::uint64_t key, std::uint64_t value) {
       out.put_varint(key);
       out.put_varint(value);
-    }
+    });
   }
   return out.take();
 }
@@ -71,15 +69,14 @@ bool KvService::restore(std::span<const std::uint8_t> bytes) {
   ByteReader in(bytes);
   const std::uint64_t shard_count = in.get_varint();
   if (!in.ok() || shard_count == 0 || shard_count > 1 << 20) return false;
-  std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> shards(
-      shard_count);
+  std::vector<FlatTable> shards(shard_count);
   for (auto& shard : shards) {
     const std::uint64_t entries = in.get_varint();
     if (!in.ok() || entries > in.remaining() + 1) return false;
     for (std::uint64_t i = 0; i < entries; ++i) {
       const std::uint64_t key = in.get_varint();
       const std::uint64_t value = in.get_varint();
-      shard.emplace(key, value);
+      shard.put(key, value);
     }
   }
   if (!in.ok()) return false;

@@ -7,15 +7,20 @@
 //
 // Concurrency model: the key space is statically sharded; commands on
 // different shards never conflict, commands on the same shard conflict if
-// one writes. A shard is a plain (unsynchronized) hash map — the COS
+// one writes. A shard is a plain (unsynchronized) hash table — the COS
 // discipline guarantees a writer is alone on its shard.
+//
+// The shard table is flat (app/flat_table.h): a replica keeps every key
+// ever put, so the per-entry footprint sets the service's memory — 16
+// bytes per slot inline, against a heap node plus a bucket pointer per
+// entry for a node-based map.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "app/flat_table.h"
 #include "app/service.h"
 
 namespace psmr {
@@ -53,7 +58,7 @@ class KvService final : public Service {
     return (z ^ (z >> 27)) % shards_.size();
   }
 
-  std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> shards_;
+  std::vector<FlatTable> shards_;
 };
 
 }  // namespace psmr

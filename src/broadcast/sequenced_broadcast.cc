@@ -24,6 +24,7 @@ SequencedBroadcast::SequencedBroadcast(Transport& net, NodeId self, int index,
                MetricsRegistry::global().counter(
                    "broadcast.checkpoint_installs"),
                MetricsRegistry::global().counter("broadcast.view_changes"),
+               MetricsRegistry::global().counter("broadcast.accept_resends"),
                MetricsRegistry::global().gauge("broadcast.seq_lag")} {}
 
 SequencedBroadcast::~SequencedBroadcast() { stop(); }
@@ -96,6 +97,7 @@ void SequencedBroadcast::propose_locked(bool partial) {
     slot.view = view_;
     slot.batch = batch;
     slot.acks = {index_};
+    slot.accept_sent_ns = now_ns();
     broadcast_to_replicas_locked(
         make_message<AcceptMsg>(view_, seq, std::move(batch)));
 
@@ -119,6 +121,27 @@ void SequencedBroadcast::commit_locked(std::uint64_t seq, Slot& slot) {
   slot.committed = true;
   slot.commit_view = view_;
   broadcast_to_replicas_locked(make_message<CommitMsg>(view_, seq));
+}
+
+void SequencedBroadcast::resend_unacked_locked(std::uint64_t now) {
+  const std::uint64_t interval_ns =
+      config_.heartbeat_interval_ms * 1'000'000ull;
+  // Delivered slots are committed; only the tail past the watermark can be
+  // waiting for acknowledgements.
+  for (auto it = log_.upper_bound(last_delivered_); it != log_.end(); ++it) {
+    Slot& slot = it->second;
+    if (slot.committed || slot.view != view_ ||
+        now < slot.accept_sent_ns + interval_ns) {
+      continue;
+    }
+    slot.accept_sent_ns = now;
+    const auto accept = make_message<AcceptMsg>(view_, it->first, slot.batch);
+    for (std::size_t i = 0; i < replicas_.size(); ++i) {
+      if (slot.acks.contains(static_cast<int>(i))) continue;
+      metrics_.accept_resends.inc();
+      net_.send(self_, replicas_[i], accept);
+    }
+  }
 }
 
 void SequencedBroadcast::try_deliver_locked() {
@@ -372,6 +395,7 @@ void SequencedBroadcast::process_view_change_locked(int from_index,
     slot.batch = entry.batch;
     slot.acks = {index_};
     slot.committed = false;
+    slot.accept_sent_ns = now_ns();  // NEWVIEW below carries the ACCEPT
   }
   next_seq_ = max_seq + 1;
 
@@ -416,6 +440,7 @@ void SequencedBroadcast::timer_loop() {
           now - pending_since_ns_ >= config_.batch_timeout_us * 1000ull) {
         propose_locked(true);
       }
+      resend_unacked_locked(now);
       // Written as a sum: a proposal above (or one made while the deliver
       // callback ran unlocked) stamps the heartbeat clock after `now`, and
       // `now - last_heartbeat_sent_ns_` would wrap around.

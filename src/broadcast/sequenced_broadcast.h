@@ -24,6 +24,13 @@
 //   that waited that long, checked at tick granularity. Under load the batch
 //   size follows the commit round trip, with no timer in the path.
 //
+// Lost messages:
+//   A slot whose ACCEPT or ACCEPTED messages are lost never reaches a
+//   majority, and since delivery is gap-free it would stall the log for good
+//   (the leader's heartbeats keep a view change from firing). The leader
+//   therefore re-sends the ACCEPT of any slot left uncommitted for a
+//   heartbeat interval to the replicas that have not acknowledged it.
+//
 // Leader failure:
 //   The leader heartbeats when idle. A replica that hears nothing for
 //   leader_timeout starts view change v+1: it sends VIEWCHANGE(v+1, its
@@ -42,9 +49,10 @@
 //
 // Threading: handle() is invoked by the network endpoint dispatcher;
 // submit() by any thread; an internal timer thread, woken every
-// tick_interval, sends the leader's heartbeats, detects leader failure and
-// runs the batch_timeout stall fallback. All state is guarded by one mutex;
-// the deliver callback is invoked while *not* holding it, in delivery order.
+// tick_interval, sends the leader's heartbeats and ACCEPT re-sends, detects
+// leader failure and runs the batch_timeout stall fallback. All state is
+// guarded by one mutex; the deliver callback is invoked while *not* holding
+// it, in delivery order.
 #pragma once
 
 #include <atomic>
@@ -138,6 +146,8 @@ class SequencedBroadcast {
     bool delivered = false;
     // View in which this replica broadcast the slot's COMMIT, if it did.
     std::optional<std::uint64_t> commit_view;
+    // When the leader last sent this slot's ACCEPT (leader only).
+    std::uint64_t accept_sent_ns = 0;
   };
 
   int leader_of(std::uint64_t v) const {
@@ -152,6 +162,7 @@ class SequencedBroadcast {
     Counter& gap_reports;         // gap handler firings (throttled)
     Counter& checkpoint_installs;
     Counter& view_changes;        // view changes this replica initiated
+    Counter& accept_resends;      // ACCEPTs re-sent for unacked slots
     Gauge& seq_lag;               // highest slot seen minus delivered
   };
 
@@ -164,6 +175,9 @@ class SequencedBroadcast {
   // True while the latest proposal of this leader is uncommitted.
   bool proposal_in_flight_locked() const PSMR_REQUIRES(mu_);
   void commit_locked(std::uint64_t seq, Slot& slot) PSMR_REQUIRES(mu_);
+  // Leader: re-sends the ACCEPT of every uncommitted slot of this view that
+  // went unanswered for a heartbeat interval, to the replicas not in acks.
+  void resend_unacked_locked(std::uint64_t now) PSMR_REQUIRES(mu_);
   void try_deliver_locked() PSMR_REQUIRES(mu_);
   void broadcast_to_replicas_locked(const MessagePtr& m) PSMR_REQUIRES(mu_);
   void start_view_change_locked(std::uint64_t target_view)

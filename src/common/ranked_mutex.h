@@ -59,7 +59,7 @@ namespace lock_rank {
 inline constexpr int kSmrClient = 100;       // SmrClient::mu_
 inline constexpr int kReplicaClients = 120;  // Replica::clients_mu_
 inline constexpr int kBroadcast = 200;       // SequencedBroadcast::mu_
-inline constexpr int kTransport = 300;       // TcpTransport/SimNetwork mu_
+inline constexpr int kTransport = 300;       // TcpTransport::mu_, SimNetwork locks
 inline constexpr int kQueue = 400;           // BlockingQueue::mu_
 inline constexpr int kCosMonitor = 500;      // CoarseGrainedCos::mu_
 inline constexpr int kCosSegment = 520;      // StripedCos segment locks

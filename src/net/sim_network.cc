@@ -1,6 +1,13 @@
 #include "net/sim_network.h"
 
 #include <algorithm>
+#include <chrono>
+#include <iterator>
+#include <utility>
+
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 #include "common/stopwatch.h"
 
@@ -8,217 +15,251 @@ namespace psmr {
 
 SimNetwork::SimNetwork(Config config)
     : config_(config),
-      rng_(config.seed),
       metrics_{MetricsRegistry::global().counter("net.sim.delivered"),
                MetricsRegistry::global().counter("net.sim.dropped"),
-               MetricsRegistry::global().gauge("net.sim.inflight")} {
-  delivery_thread_ = std::thread([this] { delivery_loop(); });
-}
+               MetricsRegistry::global().gauge("net.sim.inflight")} {}
 
 SimNetwork::~SimNetwork() { shutdown(); }
 
 NodeId SimNetwork::add_endpoint(Handler handler) {
-  MutexLock lock(mu_);
+  MutexLock lock(table_mu_);
   const NodeId id = static_cast<NodeId>(endpoints_.size());
-  auto endpoint = std::make_unique<Endpoint>();
-  endpoint->handler = std::move(handler);
+  // Each inbox draws its own jitter and drops, so senders to different
+  // destinations share no state.
+  auto endpoint = std::make_unique<Endpoint>(
+      std::move(handler),
+      config_.seed * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(id));
   Endpoint* raw = endpoint.get();
-  endpoint->dispatcher = std::thread([this, raw] {
-    while (auto item = raw->inbox.pop()) {
-      // remove_endpoint closes the inbox and joins this thread; drop (do
-      // not dispatch) whatever the close left behind — the handler's owner
-      // is being destroyed.
-      if (raw->removed.load(std::memory_order_acquire)) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
-        metrics_.dropped.inc();
-        continue;
-      }
-      raw->handler(item->first, std::move(item->second));
-    }
-  });
+  endpoint->dispatcher = std::thread([this, raw] { dispatch_loop(*raw); });
   endpoints_.push_back(std::move(endpoint));
   return id;
 }
 
-void SimNetwork::send(NodeId from, NodeId to, MessagePtr msg) {
-  MutexLock lock(mu_);
-  if (stopping_) return;
-  const auto n = static_cast<NodeId>(endpoints_.size());
-  if (to < 0 || to >= n || from < 0 || from >= n) return;
-  if (endpoints_[static_cast<std::size_t>(from)]->crashed.load(
-          std::memory_order_relaxed)) {  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
-    dropped_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
-    metrics_.dropped.inc();
-    return;
+SimNetwork::Endpoint* SimNetwork::lookup(NodeId node) const {
+  MutexLock lock(table_mu_);
+  if (stopping_ || node < 0 ||
+      node >= static_cast<NodeId>(endpoints_.size())) {
+    return nullptr;
   }
-  if (config_.drop_rate > 0.0 && rng_.uniform() < config_.drop_rate) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
-    metrics_.dropped.inc();
-    return;
-  }
-  const std::uint64_t latency_ns =
-      (config_.base_latency_us +
-       (config_.jitter_us > 0 ? rng_.below(config_.jitter_us) : 0)) *
-      1000ull;
-  std::uint64_t deliver_at = now_ns() + latency_ns;
-  // Enforce per-link FIFO: never schedule before an earlier message on the
-  // same link.
-  auto& last = last_delivery_[{from, to}];
-  deliver_at = std::max(deliver_at, last + 1);
-  last = deliver_at;
-  queue_.push({deliver_at, next_sequence_++, from, to, std::move(msg)});
-  metrics_.inflight.add(1);
-  cv_.notify_one();
+  return endpoints_[static_cast<std::size_t>(node)].get();
 }
 
-bool SimNetwork::link_up_locked(NodeId a, NodeId b) const {
-  const auto key = std::minmax(a, b);
-  return !cut_links_.contains({key.first, key.second});
+std::vector<SimNetwork::Endpoint*> SimNetwork::all_endpoints() const {
+  MutexLock lock(table_mu_);
+  std::vector<Endpoint*> all;
+  all.reserve(endpoints_.size());
+  for (const auto& endpoint : endpoints_) all.push_back(endpoint.get());
+  return all;
+}
+
+void SimNetwork::count_dropped(std::uint64_t n) {
+  if (n == 0) return;
+  dropped_.fetch_add(n, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
+  metrics_.dropped.inc(n);
+}
+
+void SimNetwork::send(NodeId from, NodeId to, MessagePtr msg) {
+  Endpoint* sender = nullptr;
+  Endpoint* dest = nullptr;
+  {
+    MutexLock lock(table_mu_);
+    const auto n = static_cast<NodeId>(endpoints_.size());
+    if (stopping_ || to < 0 || to >= n || from < 0 || from >= n) return;
+    sender = endpoints_[static_cast<std::size_t>(from)].get();
+    dest = endpoints_[static_cast<std::size_t>(to)].get();
+  }
+  const std::uint64_t now = now_ns();
+  bool earliest = false;
+  {
+    MutexLock lock(dest->mu);
+    // The sender's flag is read under the destination's lock: crash()
+    // stores it before purging this inbox under the same lock, so a send
+    // racing the crash is either refused here or purged there.
+    const bool refused =
+        dest->stopping ||
+        sender->crashed.load(std::memory_order_relaxed) ||  // NOLINT(psmr-relaxed-order-audit) ordered by dest->mu, see above
+        (config_.drop_rate > 0.0 && dest->rng.uniform() < config_.drop_rate);
+    if (refused) {
+      lock.unlock();
+      count_dropped(1);
+      return;
+    }
+    const std::uint64_t latency_ns =
+        (config_.base_latency_us +
+         (config_.jitter_us > 0 ? dest->rng.below(config_.jitter_us) : 0)) *
+        1000ull;
+    // Per-link FIFO: never schedule before an earlier message on the link.
+    std::uint64_t& last = dest->last_delivery[from];
+    const std::uint64_t deliver_at = std::max(now + latency_ns, last + 1);
+    last = deliver_at;
+    const std::uint64_t sequence = dest->next_sequence++;
+    dest->inbox.push_back({deliver_at, sequence, from, std::move(msg)});
+    std::push_heap(dest->inbox.begin(), dest->inbox.end());
+    metrics_.inflight.add(1);  // before the pop that subtracts it
+    // The dispatcher sleeps until the head is due; only a new head moves
+    // that deadline.
+    earliest = dest->inbox.front().sequence == sequence;
+  }
+  if (earliest) dest->cv.notify_one();
+}
+
+void SimNetwork::dispatch_loop(Endpoint& endpoint) {
+#ifdef __linux__
+  // The default 50-us timer slack would stretch every timed wait below it,
+  // i.e. the whole injected latency, by up to that much.
+  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
+  MutexLock lock(endpoint.mu);
+  while (!endpoint.stopping) {
+    if (endpoint.inbox.empty()) {
+      endpoint.cv.wait(endpoint.mu);
+      continue;
+    }
+    const std::uint64_t due = endpoint.inbox.front().deliver_at_ns;
+    const std::uint64_t now = now_ns();
+    if (due > now) {
+      endpoint.cv.wait_for(endpoint.mu, std::chrono::nanoseconds(due - now));
+      continue;
+    }
+    std::pop_heap(endpoint.inbox.begin(), endpoint.inbox.end());
+    InFlight item = std::move(endpoint.inbox.back());
+    endpoint.inbox.pop_back();
+    const bool link_up = !endpoint.cut_from.contains(item.from);
+    lock.unlock();
+    metrics_.inflight.sub(1);
+    if (link_up) {
+      delivered_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
+      metrics_.delivered.inc();
+      endpoint.handler(item.from, std::move(item.msg));
+    } else {
+      count_dropped(1);
+      item.msg.reset();
+    }
+    lock.lock();
+  }
 }
 
 void SimNetwork::set_link(NodeId a, NodeId b, bool up) {
-  MutexLock lock(mu_);
-  const auto key = std::minmax(a, b);
-  if (up) {
-    cut_links_.erase({key.first, key.second});
-  } else {
-    cut_links_.insert({key.first, key.second});
+  for (const auto& [self, peer] : {std::pair{a, b}, std::pair{b, a}}) {
+    Endpoint* endpoint = lookup(self);
+    if (endpoint == nullptr) continue;
+    MutexLock lock(endpoint->mu);
+    if (up) {
+      endpoint->cut_from.erase(peer);
+    } else {
+      endpoint->cut_from.insert(peer);
+    }
   }
 }
 
 void SimNetwork::crash(NodeId node) {
-  Endpoint* endpoint = nullptr;
+  Endpoint* endpoint = lookup(node);
+  if (endpoint == nullptr) return;
+  // Before the purge: sends from `node` check the flag under each
+  // destination's lock, which the purge takes after this store.
+  endpoint->crashed.store(true, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) ordered by the inbox locks purge_node takes next
   {
-    MutexLock lock(mu_);
-    if (node < 0 || node >= static_cast<NodeId>(endpoints_.size())) return;
-    endpoint = endpoints_[static_cast<std::size_t>(node)].get();
-    endpoint->crashed.store(true, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
-    // Drop its queued traffic now and forget its per-link FIFO state:
-    // long-running fault tests crash many endpoints, and dead links must
-    // not accumulate.
-    purge_node_locked(node);
+    MutexLock lock(endpoint->mu);
+    endpoint->stopping = true;
   }
-  endpoint->inbox.close();
+  endpoint->cv.notify_one();
+  // Drop its queued traffic now and forget its per-link FIFO state:
+  // long-running fault tests crash many endpoints, and dead links must not
+  // accumulate.
+  purge_node(node);
 }
 
 void SimNetwork::remove_endpoint(NodeId node) {
-  Endpoint* endpoint = nullptr;
-  {
-    MutexLock lock(mu_);
-    if (node < 0 || node >= static_cast<NodeId>(endpoints_.size())) return;
-    endpoint = endpoints_[static_cast<std::size_t>(node)].get();
-    if (endpoint->removed.exchange(true, std::memory_order_acq_rel)) {
-      endpoint = nullptr;  // another remover owns the join
-    } else {
-      purge_node_locked(node);
-    }
-  }
+  // After shutdown() there is nothing to do: it joined every dispatcher.
+  Endpoint* endpoint = lookup(node);
   if (endpoint == nullptr) return;
-  // Close and join outside mu_: the handler may be inside send() right now.
-  endpoint->inbox.close();
+  {
+    MutexLock lock(endpoint->mu);
+    if (endpoint->removed) return;  // another remover owns the join
+    endpoint->removed = true;
+    endpoint->stopping = true;
+  }
+  endpoint->cv.notify_one();
+  purge_node(node);
+  // Join with no lock held: the handler may be inside send() right now.
   if (endpoint->dispatcher.joinable()) endpoint->dispatcher.join();
 }
 
-void SimNetwork::purge_node_locked(NodeId node) {
-  for (auto it = last_delivery_.begin(); it != last_delivery_.end();) {
-    if (it->first.first == node || it->first.second == node) {
-      it = last_delivery_.erase(it);
-    } else {
-      ++it;
+void SimNetwork::purge_node(NodeId node) {
+  const std::vector<Endpoint*> endpoints = all_endpoints();
+  for (std::size_t id = 0; id < endpoints.size(); ++id) {
+    Endpoint& endpoint = *endpoints[id];
+    std::vector<InFlight> purged;  // freed after the lock is released
+    {
+      MutexLock lock(endpoint.mu);
+      std::vector<InFlight>& inbox = endpoint.inbox;
+      if (static_cast<NodeId>(id) == node) {
+        purged.swap(inbox);
+        endpoint.last_delivery.clear();
+      } else {
+        const auto dead = std::partition(
+            inbox.begin(), inbox.end(),
+            [node](const InFlight& m) { return m.from != node; });
+        purged.assign(std::make_move_iterator(dead),
+                      std::make_move_iterator(inbox.end()));
+        inbox.erase(dead, inbox.end());
+        std::make_heap(inbox.begin(), inbox.end());
+        endpoint.last_delivery.erase(node);
+      }
     }
+    metrics_.inflight.sub(static_cast<std::int64_t>(purged.size()));
+    count_dropped(purged.size());
   }
-  if (queue_.empty()) return;
-  std::vector<InFlight> survivors;
-  survivors.reserve(queue_.size());
-  while (!queue_.empty()) {
-    // priority_queue::top is const; the copy is cheap (shared_ptr payload).
-    InFlight item = queue_.top();
-    queue_.pop();
-    if (item.to == node || item.from == node) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
-      metrics_.dropped.inc();
-      metrics_.inflight.sub(1);
-    } else {
-      survivors.push_back(std::move(item));
-    }
-  }
-  for (InFlight& item : survivors) queue_.push(std::move(item));
 }
 
 std::size_t SimNetwork::link_state_entries() const {
-  MutexLock lock(mu_);
-  return last_delivery_.size();
+  std::size_t entries = 0;
+  for (Endpoint* endpoint : all_endpoints()) {
+    MutexLock lock(endpoint->mu);
+    entries += endpoint->last_delivery.size();
+  }
+  return entries;
 }
 
 std::size_t SimNetwork::in_flight() const {
-  MutexLock lock(mu_);
-  return queue_.size();
+  std::size_t queued = 0;
+  for (Endpoint* endpoint : all_endpoints()) {
+    MutexLock lock(endpoint->mu);
+    queued += endpoint->inbox.size();
+  }
+  return queued;
 }
 
 bool SimNetwork::crashed(NodeId node) const {
-  MutexLock lock(mu_);
+  MutexLock lock(table_mu_);
   if (node < 0 || node >= static_cast<NodeId>(endpoints_.size())) return true;
   return endpoints_[static_cast<std::size_t>(node)]->crashed.load(
       std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
 }
 
-void SimNetwork::delivery_loop() {
-  MutexLock lock(mu_);
-  while (true) {
-    if (stopping_) return;
-    if (queue_.empty()) {
-      cv_.wait(mu_);
-      continue;
-    }
-    const std::uint64_t now = now_ns();
-    const InFlight& next = queue_.top();
-    if (next.deliver_at_ns > now) {
-      cv_.wait_for(mu_,
-                   std::chrono::nanoseconds(next.deliver_at_ns - now));
-      continue;
-    }
-    InFlight item = queue_.top();
-    queue_.pop();
-    metrics_.inflight.sub(1);
-    Endpoint& to = *endpoints_[static_cast<std::size_t>(item.to)];
-    const bool deliverable =
-        !to.crashed.load(std::memory_order_relaxed) &&  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
-        !endpoints_[static_cast<std::size_t>(item.from)]->crashed.load(
-            std::memory_order_relaxed) &&  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
-        link_up_locked(item.from, item.to);
-    // Push outside the lock would be nicer, but the inbox push never
-    // blocks (unbounded queue), so holding mu_ here is bounded. A push to
-    // a closed inbox (removed endpoint) reports the message as dropped.
-    if (deliverable && to.inbox.push({item.from, std::move(item.msg)})) {
-      delivered_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
-      metrics_.delivered.inc();
-    } else {
-      dropped_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
-      metrics_.dropped.inc();
-    }
-  }
-}
-
 void SimNetwork::shutdown() {
   {
-    MutexLock lock(mu_);
+    MutexLock lock(table_mu_);
     if (stopping_) return;
     stopping_ = true;
   }
-  cv_.notify_all();
-  if (delivery_thread_.joinable()) delivery_thread_.join();
-  // Snapshot the endpoints under mu_, then close/join outside it: a
-  // dispatcher handler may call send(), which takes mu_.
-  std::vector<Endpoint*> endpoints;
-  {
-    MutexLock lock(mu_);
-    endpoints.reserve(endpoints_.size());
-    for (auto& endpoint : endpoints_) endpoints.push_back(endpoint.get());
+  // Stop every dispatcher, then join outside every lock: a running handler
+  // may call send().
+  std::vector<Endpoint*> to_join;
+  for (Endpoint* endpoint : all_endpoints()) {
+    {
+      MutexLock lock(endpoint->mu);
+      endpoint->stopping = true;
+      if (!endpoint->removed) {
+        endpoint->removed = true;  // the join is ours
+        to_join.push_back(endpoint);
+      }
+      metrics_.inflight.sub(static_cast<std::int64_t>(endpoint->inbox.size()));
+      endpoint->inbox.clear();
+    }
+    endpoint->cv.notify_one();
   }
-  for (Endpoint* endpoint : endpoints) {
-    endpoint->inbox.close();
-  }
-  for (Endpoint* endpoint : endpoints) {
+  for (Endpoint* endpoint : to_join) {
     if (endpoint->dispatcher.joinable()) endpoint->dispatcher.join();
   }
 }

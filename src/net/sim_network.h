@@ -1,11 +1,15 @@
 // In-process simulated cluster network.
 //
 // Substitute for the paper's 7-machine 1 Gbps switched LAN: endpoints are
-// in-process actors; send() stamps each message with a delivery time (base
-// latency + seeded jitter), a delivery thread releases messages in time
-// order, and a per-endpoint dispatcher thread runs the endpoint's handler
-// sequentially (one message at a time per endpoint, like a socket read
-// loop).
+// in-process actors. Each endpoint owns a timed inbox, a min-heap ordered by
+// (deliver_at, sequence) under the endpoint's own mutex; send() stamps the
+// message with a delivery time (base latency + seeded jitter) and pushes it
+// into the destination's inbox. The endpoint's dispatcher thread sleeps
+// until the head of its inbox is due, pops it and runs the handler with no
+// lock held (one message at a time per endpoint, like a socket read loop).
+// No thread but the sender and the receiver's dispatcher touches a message,
+// and no lock shared by all endpoints is held across a push, a notify or a
+// handler, so as on a real LAN a message costs its two ends and nobody else.
 //
 // Link semantics are TCP-like, matching what BFT-SMaRt assumes: reliable
 // and FIFO per (from, to) pair, unless a fault is injected — links can be
@@ -15,15 +19,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
-#include <queue>
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
-#include "common/blocking_queue.h"
 #include "common/metrics.h"
 #include "common/ranked_mutex.h"
 #include "common/rng.h"
@@ -64,7 +65,7 @@ class SimNetwork final : public Transport {
   void set_link(NodeId a, NodeId b, bool up) override;
 
   // Crashes an endpoint: all of its inbound and outbound traffic is dropped
-  // from now on (in-flight included). Its dispatcher drains and stops.
+  // from now on (in-flight included). Its dispatcher stops.
   void crash(NodeId node) override;
   bool crashed(NodeId node) const override;
 
@@ -94,23 +95,46 @@ class SimNetwork final : public Transport {
     std::uint64_t deliver_at_ns;
     std::uint64_t sequence;  // tie-break, preserves send order
     NodeId from;
-    NodeId to;
     MessagePtr msg;
-    bool operator>(const InFlight& other) const {
+    // Heap order: std::push_heap keeps the greatest on top, so "greater"
+    // here means "due later" and the earliest message is the head.
+    bool operator<(const InFlight& other) const {
       return deliver_at_ns != other.deliver_at_ns
                  ? deliver_at_ns > other.deliver_at_ns
                  : sequence > other.sequence;
     }
   };
 
+  // One endpoint's timed inbox and everything send() needs to stamp a
+  // message for it. Endpoints are never freed before the network, so a
+  // pointer looked up under table_mu_ stays valid after the lookup.
   struct Endpoint {
-    Handler handler;
-    BlockingQueue<std::pair<NodeId, MessagePtr>> inbox;
-    std::thread dispatcher;
+    Endpoint(Handler h, std::uint64_t seed)
+        : handler(std::move(h)), rng(seed) {}
+
+    const Handler handler;
+    std::thread dispatcher;  // started once, joined by remove/shutdown
+    // Read by send() on the *sender's* endpoint under the destination's
+    // mu; crash() stores it before purging every inbox under that inbox's
+    // mu, which orders the two.
     std::atomic<bool> crashed{false};
-    // Set by remove_endpoint; the dispatcher drops (not dispatches) any
-    // inbox remainder once it observes the flag.
-    std::atomic<bool> removed{false};
+
+    RankedMutex<lock_rank::kTransport> mu;
+    CondVar cv;
+    std::vector<InFlight> inbox PSMR_GUARDED_BY(mu);  // heap, earliest on top
+    // Per-sender FIFO clock: the deliver_at of the last message from that
+    // sender, so a later send never overtakes it.
+    std::unordered_map<NodeId, std::uint64_t> last_delivery
+        PSMR_GUARDED_BY(mu);
+    std::set<NodeId> cut_from PSMR_GUARDED_BY(mu);  // peers on cut links
+    Xoshiro256 rng PSMR_GUARDED_BY(mu);             // jitter and drop draws
+    std::uint64_t next_sequence PSMR_GUARDED_BY(mu) = 0;
+    // Set by whoever owns joining the dispatcher (remove_endpoint or
+    // shutdown).
+    bool removed PSMR_GUARDED_BY(mu) = false;
+    // Removed, crashed or shut down: the dispatcher exits and sends to the
+    // endpoint are dropped.
+    bool stopping PSMR_GUARDED_BY(mu) = false;
   };
 
   struct Metrics {
@@ -119,31 +143,22 @@ class SimNetwork final : public Transport {
     Gauge& inflight;
   };
 
-  bool link_up_locked(NodeId a, NodeId b) const PSMR_REQUIRES(mu_);
-  // Drops queued in-flight messages to/from `node` and erases its per-link
-  // FIFO entries. Shared by crash() and remove_endpoint().
-  void purge_node_locked(NodeId node) PSMR_REQUIRES(mu_);
-  void delivery_loop();
+  Endpoint* lookup(NodeId node) const;
+  // Every endpoint, for operations that visit all inboxes one at a time.
+  std::vector<Endpoint*> all_endpoints() const;
+  // Drops queued messages to/from `node` and its per-link FIFO entries in
+  // every inbox. Shared by crash() and remove_endpoint().
+  void purge_node(NodeId node);
+  void count_dropped(std::uint64_t n);
+  void dispatch_loop(Endpoint& endpoint);
 
   const Config config_;
 
-  // mu_ is held across inbox pushes (transport rank precedes the queue
-  // rank). Endpoint objects themselves are not guarded: only the
-  // unique_ptr vector is — the pointees are internally synchronized
-  // (inbox) or atomic (crashed).
-  mutable RankedMutex<lock_rank::kTransport> mu_;
-  CondVar cv_;
-  std::priority_queue<InFlight, std::vector<InFlight>, std::greater<>> queue_
-      PSMR_GUARDED_BY(mu_);
-  std::map<std::pair<NodeId, NodeId>, std::uint64_t> last_delivery_
-      PSMR_GUARDED_BY(mu_);  // FIFO
-  std::set<std::pair<NodeId, NodeId>> cut_links_ PSMR_GUARDED_BY(mu_);
-  Xoshiro256 rng_ PSMR_GUARDED_BY(mu_);
-  std::uint64_t next_sequence_ PSMR_GUARDED_BY(mu_) = 0;
-  bool stopping_ PSMR_GUARDED_BY(mu_) = false;
-
-  std::vector<std::unique_ptr<Endpoint>> endpoints_ PSMR_GUARDED_BY(mu_);
-  std::thread delivery_thread_;  // set once in the constructor
+  // Guards only the id -> endpoint table; held for lookups, never across
+  // an inbox lock, a notify or a handler.
+  mutable RankedMutex<lock_rank::kTransport> table_mu_;
+  std::vector<std::unique_ptr<Endpoint>> endpoints_ PSMR_GUARDED_BY(table_mu_);
+  bool stopping_ PSMR_GUARDED_BY(table_mu_) = false;
 
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> dropped_{0};

@@ -195,8 +195,10 @@ void TcpTransport::shutdown() {
       epoll_fd_ = wake_fd_ = listen_fd_ = -1;
       return;
     }
+    // Under mu_: the I/O thread closes wake_fd_ under mu_ once it sees
+    // stopping_, so an unlocked write could hit a closed (or reused) fd.
+    wake();
   }
-  wake();
   if (io_thread_.joinable()) io_thread_.join();
   inbox_.close();
   if (dispatcher_.joinable()) dispatcher_.join();

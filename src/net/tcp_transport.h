@@ -181,15 +181,15 @@ class TcpTransport final : public Transport {
 
   // mu_ is held across inbox_ pushes (transport rank precedes the queue
   // rank in the lock hierarchy, DESIGN.md). The fds below are created in
-  // add_endpoint() before the I/O thread exists and torn down by it;
-  // wake() reads wake_fd_ without mu_ from shutdown(), a benign race with
-  // the I/O thread's final close (the eventfd write then hits a dead fd).
+  // add_endpoint() before the I/O thread exists and torn down by it under
+  // mu_; send() and shutdown() call wake() with mu_ held, so no write can
+  // race the final close of wake_fd_.
   mutable RankedMutex<lock_rank::kTransport> mu_;
   bool started_ PSMR_GUARDED_BY(mu_) = false;
   bool stopping_ PSMR_GUARDED_BY(mu_) = false;
   int epoll_fd_ = -1;  // NOLINT(psmr-guarded-by-coverage) owned by the I/O thread after start()
   int listen_fd_ = -1;  // NOLINT(psmr-guarded-by-coverage) owned by the I/O thread after start()
-  int wake_fd_ = -1;  // eventfd: send() and shutdown() wake the I/O thread  // NOLINT(psmr-guarded-by-coverage) set in start(); benign shutdown race documented above
+  int wake_fd_ = -1;  // eventfd: send() and shutdown() wake the I/O thread  // NOLINT(psmr-guarded-by-coverage) set in start(); written to under mu_ (see above)
   std::map<int, std::unique_ptr<Conn>> conns_ PSMR_GUARDED_BY(mu_);  // by fd
   std::map<NodeId, Peer> peers_ PSMR_GUARDED_BY(mu_);
 

@@ -1,5 +1,6 @@
 #include "smr/replica.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <future>
 #include <thread>
@@ -212,12 +213,14 @@ void Replica::scheduler_loop() {
     {
       MutexLock lock(clients_mu_);
       for (const Command& c : delivery->batch) {
-        auto& state = clients_[c.client];
-        if (c.client != 0 && c.client_seq <= state.max_inserted_seq) {
-          metrics_.dedup_hits.inc();
-          continue;
+        if (c.client != 0) {
+          auto& state = clients_[c.client];
+          if (state.inserted_or_stale(c.client_seq)) {
+            metrics_.dedup_hits.inc();
+            continue;
+          }
+          state.mark_inserted(c.client_seq);
         }
-        state.max_inserted_seq = c.client_seq;
         fresh.push_back(c);
         fresh.back().id = next_command_id_++;
       }
@@ -232,6 +235,38 @@ void Replica::scheduler_loop() {
       population_samples_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
     }
   }
+}
+
+void Replica::ClientState::mark_inserted(std::uint64_t seq) {
+  if (seq > max_inserted_seq) {
+    // The seqs skipped on the way up were not inserted; their bits still
+    // describe seqs that are leaving the window.
+    if (seq - max_inserted_seq >= kReplyCacheWindow) {
+      inserted.fill(0);
+    } else {
+      for (std::uint64_t s = max_inserted_seq + 1; s < seq; ++s) {
+        assign(s, false);
+      }
+    }
+    max_inserted_seq = seq;
+  }
+  assign(seq, true);
+}
+
+bool Replica::ClientState::consistent() const {
+  if (max_inserted_seq == 0) {
+    return std::all_of(inserted.begin(), inserted.end(),
+                       [](std::uint64_t word) { return word == 0; });
+  }
+  if (!test(max_inserted_seq)) return false;
+  // Below the first window, the bits past the mark and bit 0 would stand
+  // for seqs <= 0.
+  if (max_inserted_seq >= kReplyCacheWindow) return true;
+  for (std::uint64_t bit = max_inserted_seq + 1; bit <= kReplyCacheWindow;
+       ++bit) {
+    if (test(bit)) return false;
+  }
+  return true;
 }
 
 void Replica::worker_loop() {
@@ -302,11 +337,13 @@ std::uint64_t Replica::state_digest() {
   return result.get();
 }
 
-// Checkpoint = service snapshot + the per-client at-most-once table (so a
-// restored replica keeps rejecting retransmissions of commands the
-// checkpoint already contains). Reply caches are intentionally not shipped:
-// the peers that produced the checkpoint still hold theirs, and the crash
-// model guarantees a correct replica can answer retransmissions.
+// Checkpoint = service snapshot + the per-client at-most-once table, i.e.
+// the high-water mark and the window bitmap below it (so a restored replica
+// keeps rejecting retransmissions of commands the checkpoint already
+// contains, and still inserts the ones it does not). Reply caches are
+// intentionally not shipped: the peers that produced the checkpoint still
+// hold theirs, and the crash model guarantees a correct replica can answer
+// retransmissions.
 std::vector<std::uint8_t> Replica::encode_checkpoint() {
   ByteWriter out;
   const std::vector<std::uint8_t> service_bytes = service_->snapshot();
@@ -316,6 +353,7 @@ std::vector<std::uint8_t> Replica::encode_checkpoint() {
   for (const auto& [client, state] : clients_) {
     out.put_varint(client);
     out.put_varint(state.max_inserted_seq);
+    for (const std::uint64_t word : state.inserted) out.put_u64(word);
   }
   return out.take();
 }
@@ -329,7 +367,10 @@ bool Replica::decode_checkpoint(std::span<const std::uint8_t> bytes) {
   std::unordered_map<std::uint64_t, ClientState> table;
   for (std::uint64_t i = 0; i < clients; ++i) {
     const std::uint64_t client = in.get_varint();
-    table[client].max_inserted_seq = in.get_varint();
+    ClientState& state = table[client];
+    state.max_inserted_seq = in.get_varint();
+    for (std::uint64_t& word : state.inserted) word = in.get_u64();
+    if (!in.ok() || !state.consistent()) return false;
   }
   if (!in.ok()) return false;
   MutexLock lock(clients_mu_);

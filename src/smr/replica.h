@@ -15,12 +15,16 @@
 // identical — the policy only changes which Cos is constructed.
 //
 // At-most-once execution: commands are identified by (client, client_seq).
-// The scheduler skips any command whose client_seq is not greater than the
-// client's highest inserted one (this absorbs both client retransmissions
-// and re-proposals after a view change), and the replica answers
+// The scheduler skips any command it already inserted: it keeps, per
+// client, the highest inserted client_seq and a bitmap of the inserted seqs
+// in the kReplyCacheWindow below it, and treats seqs older than that window
+// as inserted. This absorbs both client retransmissions and re-proposals
+// after a view change, yet still inserts a pipelined command whose first
+// Request was lost while later ones went through. The replica answers
 // retransmissions of already-executed commands from a bounded reply cache.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -175,9 +179,38 @@ class Replica {
   // client_seq % kReplyCacheWindow and tagged by the Response's client_seq
   // (never 0 for an executed command), sized on the client's first reply:
   // O(1) lookup and insert under clients_mu_, no allocation after that.
+  //
+  // The at-most-once bitmap is a ring over the same window: bit
+  // client_seq % kReplyCacheWindow is set iff that seq, within the window
+  // ending at max_inserted_seq, was inserted.
   struct ClientState {
     std::uint64_t max_inserted_seq = 0;
+    std::array<std::uint64_t, kReplyCacheWindow / 64> inserted{};
     std::vector<Response> replies;  // empty until the first reply
+
+    // True if `seq` must not be inserted: it was, or it is too old to tell
+    // (below the window, or 0, which no client issues).
+    bool inserted_or_stale(std::uint64_t seq) const {
+      if (seq > max_inserted_seq) return false;
+      if (seq == 0 || max_inserted_seq - seq >= kReplyCacheWindow) return true;
+      return test(seq);
+    }
+    void mark_inserted(std::uint64_t seq);
+    // Checkpoint validation: the high-water mark is marked and no bit
+    // stands for a seq of 0 or below.
+    bool consistent() const;
+
+   private:
+    bool test(std::uint64_t seq) const {
+      const std::uint64_t bit = seq % kReplyCacheWindow;
+      return (inserted[bit / 64] >> (bit % 64) & 1) != 0;
+    }
+    void assign(std::uint64_t seq, bool value) {
+      const std::uint64_t bit = seq % kReplyCacheWindow;
+      const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+      inserted[bit / 64] = value ? inserted[bit / 64] | mask
+                                 : inserted[bit / 64] & ~mask;
+    }
   };
   mutable RankedMutex<lock_rank::kReplicaClients> clients_mu_;
   std::unordered_map<std::uint64_t, ClientState> clients_

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "app/bank_service.h"
+#include "app/flat_table.h"
 #include "app/kv_service.h"
 #include "app/linked_list_service.h"
+#include "common/rng.h"
 
 namespace psmr {
 namespace {
@@ -127,6 +132,137 @@ TEST(Kv, DigestIsOrderIndependent) {
   b.execute(b.make_put(2, 20));
   b.execute(b.make_put(1, 10));
   EXPECT_EQ(a.state_digest(), b.state_digest());
+}
+
+TEST(Kv, OverwriteKeepsOneEntry) {
+  KvService service;
+  service.execute(service.make_put(5, 1));
+  service.execute(service.make_put(5, 2));
+  EXPECT_EQ(service.size(), 1u);
+  EXPECT_EQ(service.execute(service.make_get(5)).value, 2u);
+}
+
+TEST(Kv, SnapshotRoundTripRestoresEveryEntry) {
+  KvService a(8);
+  for (std::uint64_t k = 0; k < 500; ++k) a.execute(a.make_put(k, 3 * k));
+  for (std::uint64_t k = 0; k < 500; k += 7) a.execute(a.make_del(k));
+  a.execute(a.make_put(~std::uint64_t{0}, 9));  // the table's free-slot key
+  KvService b(8);
+  ASSERT_TRUE(b.restore(a.snapshot()));
+  EXPECT_EQ(b.size(), a.size());
+  EXPECT_EQ(b.state_digest(), a.state_digest());
+  for (std::uint64_t k = 0; k < 500; ++k) {
+    const Response r = b.execute(b.make_get(k));
+    EXPECT_EQ(r.ok, k % 7 != 0) << k;
+    if (r.ok) {
+      EXPECT_EQ(r.value, 3 * k);
+    }
+  }
+  EXPECT_EQ(b.execute(b.make_get(~std::uint64_t{0})).value, 9u);
+}
+
+// ---------------------------------------------------------------------------
+// FlatTable (the KvService shard table)
+// ---------------------------------------------------------------------------
+
+// The first `n` keys from `from` upward whose probe runs start at `slot` of
+// `table`'s current array.
+std::vector<std::uint64_t> keys_homed_at(const FlatTable& table,
+                                         std::size_t slot, std::size_t n,
+                                         std::uint64_t from = 0) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = from; keys.size() < n; ++k) {
+    if (table.home_slot(k) == slot) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(FlatTable, PutOverwriteFind) {
+  FlatTable table;
+  EXPECT_EQ(table.find(1), nullptr);
+  table.put(1, 10);
+  table.put(2, 20);
+  table.put(1, 11);
+  EXPECT_EQ(table.size(), 2u);
+  ASSERT_NE(table.find(1), nullptr);
+  EXPECT_EQ(*table.find(1), 11u);
+  EXPECT_EQ(*table.find(2), 20u);
+  EXPECT_EQ(table.find(3), nullptr);
+  EXPECT_FALSE(table.erase(3));
+}
+
+TEST(FlatTable, EraseInsideAProbeChainKeepsTheRestReachable) {
+  FlatTable table;
+  table.put(0, 0);  // allocates the first array
+  const std::size_t capacity = table.capacity();
+  // Three keys homed at the last slot form a chain that wraps to slot 0
+  // and 1; a key homed at slot 1 is pushed further along behind them.
+  const std::size_t last = capacity - 1;
+  const auto chain = keys_homed_at(table, last, 3, 1);
+  const auto behind = keys_homed_at(table, 1, 1, 1);
+  ASSERT_TRUE(table.erase(0));
+  for (std::uint64_t k : chain) table.put(k, k + 100);
+  table.put(behind[0], 7);
+  ASSERT_EQ(table.capacity(), capacity);  // no growth: same chain layout
+  // Erase the head, then the middle of what is left: each later entry must
+  // still be found from its home.
+  ASSERT_TRUE(table.erase(chain[0]));
+  EXPECT_EQ(table.find(chain[0]), nullptr);
+  for (std::size_t i = 1; i < chain.size(); ++i) {
+    ASSERT_NE(table.find(chain[i]), nullptr) << i;
+    EXPECT_EQ(*table.find(chain[i]), chain[i] + 100);
+  }
+  ASSERT_NE(table.find(behind[0]), nullptr);
+  ASSERT_TRUE(table.erase(chain[1]));
+  ASSERT_NE(table.find(chain[2]), nullptr);
+  EXPECT_EQ(*table.find(chain[2]), chain[2] + 100);
+  ASSERT_NE(table.find(behind[0]), nullptr);
+  EXPECT_EQ(*table.find(behind[0]), 7u);
+  EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(FlatTable, GrowsAndMatchesAReferenceMapUnderChurn) {
+  FlatTable table;
+  std::map<std::uint64_t, std::uint64_t> reference;
+  Xoshiro256 rng(5);
+  for (int op = 0; op < 20000; ++op) {
+    const std::uint64_t key = rng.below(700);
+    if (rng.uniform() < 0.4) {
+      EXPECT_EQ(table.erase(key), reference.erase(key) > 0);
+    } else {
+      table.put(key, op);
+      reference[key] = static_cast<std::uint64_t>(op);
+    }
+  }
+  ASSERT_EQ(table.size(), reference.size());
+  EXPECT_GE(table.capacity() * 3, table.size() * 4);  // load <= 3/4
+  for (std::uint64_t key = 0; key < 700; ++key) {
+    const auto it = reference.find(key);
+    const std::uint64_t* value = table.find(key);
+    ASSERT_EQ(value != nullptr, it != reference.end()) << key;
+    if (value != nullptr) {
+      EXPECT_EQ(*value, it->second);
+    }
+  }
+  std::size_t visited = 0;
+  table.for_each([&](std::uint64_t key, std::uint64_t value) {
+    ++visited;
+    EXPECT_EQ(reference.at(key), value);
+  });
+  EXPECT_EQ(visited, reference.size());
+}
+
+TEST(FlatTable, FreeSlotKeyIsAnOrdinaryKey) {
+  FlatTable table;
+  const std::uint64_t max = ~std::uint64_t{0};
+  EXPECT_EQ(table.find(max), nullptr);
+  table.put(max, 1);
+  EXPECT_EQ(table.size(), 1u);
+  ASSERT_NE(table.find(max), nullptr);
+  EXPECT_EQ(*table.find(max), 1u);
+  EXPECT_TRUE(table.erase(max));
+  EXPECT_FALSE(table.erase(max));
+  EXPECT_EQ(table.size(), 0u);
 }
 
 // ---------------------------------------------------------------------------

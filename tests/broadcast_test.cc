@@ -423,13 +423,20 @@ TEST(BroadcastSelfClock, CommandsBehindAnUncommittedProposalLeaveAsOneBatch) {
 TEST(BroadcastSelfClock, StuckSlotDoesNotThrottleLaterProposals) {
   // Every ACCEPTED for slot 1 is lost, so slot 1 never commits. The next
   // command waits for the stall fallback; once that proposal commits, the
-  // leader is self-clocked again despite the stuck slot.
+  // leader is self-clocked again despite the stuck slot. The leader's
+  // re-sent ACCEPTs for slot 1 are lost too, so the ACCEPT counts below
+  // count proposals only.
   auto config = fast_broadcast();
   config.batch_timeout_us = 300'000;
+  auto seen = std::make_shared<std::array<std::atomic<bool>, 3>>();
   BroadcastHarness h(
-      3, fast_net(), config, [](int to, const MessagePtr& m) {
-        return to == 0 && m->type == msg::kAccepted &&
-               message_as<AcceptedMsg>(m).seq == 1;
+      3, fast_net(), config, [seen](int to, const MessagePtr& m) {
+        if (m->type == msg::kAccepted) {
+          return to == 0 && message_as<AcceptedMsg>(m).seq == 1;
+        }
+        return m->type == msg::kAccept &&
+               message_as<AcceptMsg>(m).seq == 1 &&
+               (*seen)[static_cast<std::size_t>(to)].exchange(true);
       });
   ASSERT_TRUE(h.engine(0).submit({cmd(1)}));
   ASSERT_TRUE(h.wait_received(1, msg::kAccept, 1));
@@ -497,6 +504,30 @@ TEST(BroadcastCommit, SteadyStateSendsOneCommitPerFollowerPerSlot) {
   EXPECT_EQ(h.received(1, msg::kCommit) + h.received(2, msg::kCommit),
             2 * slots);  // n - 1 per slot
   EXPECT_EQ(h.received(0, msg::kCommit), 0u);
+}
+
+TEST(BroadcastResend, LostAcceptsAreResentUntilTheSlotCommits) {
+  // Every follower loses slot 1's first ACCEPT, so no ACCEPTED comes back.
+  // The leader keeps heartbeating, so no view change rescues the slot: only
+  // a re-sent ACCEPT can commit it and unblock gap-free delivery.
+  auto lost = std::make_shared<std::array<std::atomic<bool>, 3>>();
+  BroadcastHarness h(3, fast_net(), fast_broadcast(),
+                     [lost](int to, const MessagePtr& m) {
+                       return m->type == msg::kAccept &&
+                              message_as<AcceptMsg>(m).seq == 1 &&
+                              !(*lost)[static_cast<std::size_t>(to)].exchange(
+                                  true);
+                     });
+  ASSERT_TRUE(h.engine(0).submit({cmd(7)}));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(h.wait_delivered(i, 1, 2000)) << "replica " << i;
+    EXPECT_EQ(h.delivered(i)[0].second, 7u);
+  }
+  EXPECT_TRUE((*lost)[1].load() && (*lost)[2].load());
+  EXPECT_EQ(h.engine(0).view(), 0u);  // recovered without a view change
+  // The slot unblocked the log: later commands follow at once.
+  ASSERT_TRUE(h.engine(0).submit({cmd(8)}));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(h.wait_delivered(i, 2, 2000));
 }
 
 }  // namespace

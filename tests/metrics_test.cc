@@ -236,19 +236,36 @@ TEST(MetricsEndToEnd, ResendAndDuplicateCountersMoveUnderMessageLoss) {
     return builder.make_put(next.fetch_add(1) % 64, 1);
   });
   deployment.start();
-  for (int t = 0; t < 4000 && deployment.total_client_completed() < 100; ++t) {
+  // A resend needs a lost Request to the leader, and 100 commands at 2%
+  // loss contain none with probability 0.98^100 ~ 13%; a reply-cache hit
+  // needs a resend of a command some replica already executed. So run
+  // until the events asserted below have happened, not for a fixed
+  // command count.
+  auto& registry = MetricsRegistry::global();
+  const auto moved = [&](std::string_view name) {
+    return registry.counter(name).value() > before.counter(name);
+  };
+  const auto events_seen = [&] {
+    if (deployment.total_client_completed() < 100) return false;
+    return !kMetricsEnabled ||
+           (moved("client.resends") && moved("client.duplicate_replies") &&
+            (moved("scheduler.dedup_hits") ||
+             moved("replica.reply_cache_hits")));
+  };
+  for (int t = 0; t < 4000 && !events_seen(); ++t) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   ASSERT_GE(deployment.total_client_completed(), 100u);
-  for (SmrClient* client : deployment.clients()) client->drain(5000);
+  for (SmrClient* client : deployment.clients()) {
+    EXPECT_TRUE(client->drain(5000)) << "a command was never answered";
+  }
   deployment.stop();
 
   const MetricsSnapshot after = MetricsRegistry::global().snapshot();
   if constexpr (!kMetricsEnabled) return;
-  // At 2% loss over >= 100 commands, each sent to 3 replicas which each
-  // reply, some request or reply is lost (P[no loss] < 1e-5), so the
-  // resend timer fired; and with 3 replicas answering every request, later
-  // replies find the command already completed.
+  // The run lasted until the resend timer fired and, with 3 replicas
+  // answering every request, later replies found a command already
+  // completed.
   EXPECT_GT(delta(before, after, "client.resends"), 0u);
   EXPECT_GT(delta(before, after, "client.duplicate_replies"), 0u);
   EXPECT_GT(delta(before, after, "net.sim.dropped"), 0u);

@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/stopwatch.h"
 #include "net/sim_network.h"
 
 namespace psmr {
@@ -13,6 +14,15 @@ namespace {
 struct IntMsg final : Message {
   explicit IntMsg(int v) : Message(100), value(v) {}
   int value;
+};
+
+// Carries its sender's sequence number and the time send() was called.
+struct StampedMsg final : Message {
+  StampedMsg(int s, int i, std::uint64_t t)
+      : Message(101), sender(s), index(i), sent_ns(t) {}
+  int sender;
+  int index;
+  std::uint64_t sent_ns;
 };
 
 SimNetwork::Config fast_config() {
@@ -259,6 +269,109 @@ TEST(SimNetwork, ManySendersStress) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(count.load(), expected);
+}
+
+TEST(SimNetwork, ConcurrentSendersToOneDestinationKeepPerLinkFifo) {
+  SimNetwork::Config config;
+  config.base_latency_us = 10;
+  config.jitter_us = 300;  // heavy jitter tries to reorder each link
+  SimNetwork net(config);
+  constexpr int kSenders = 4;
+  constexpr int kPerSender = 500;
+  std::mutex mu;
+  std::vector<std::vector<int>> received(kSenders);
+  const NodeId sink = net.add_endpoint([&](NodeId, MessagePtr m) {
+    const auto& stamped = message_as<StampedMsg>(m);
+    std::lock_guard lock(mu);
+    received[static_cast<std::size_t>(stamped.sender)].push_back(
+        stamped.index);
+  });
+  std::vector<NodeId> senders;
+  for (int s = 0; s < kSenders; ++s) {
+    senders.push_back(net.add_endpoint([](NodeId, MessagePtr) {}));
+  }
+  std::vector<std::thread> threads;
+  for (int s = 0; s < kSenders; ++s) {
+    threads.emplace_back([&, s] {
+      for (int i = 0; i < kPerSender; ++i) {
+        net.send(senders[static_cast<std::size_t>(s)], sink,
+                 make_message<StampedMsg>(s, i, 0));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int t = 0; t < 1000; ++t) {
+    if (net.messages_delivered() == kSenders * kPerSender) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::lock_guard lock(mu);
+  for (int s = 0; s < kSenders; ++s) {
+    const auto& seen = received[static_cast<std::size_t>(s)];
+    ASSERT_EQ(static_cast<int>(seen.size()), kPerSender) << "sender " << s;
+    for (int i = 0; i < kPerSender; ++i) {
+      ASSERT_EQ(seen[static_cast<std::size_t>(i)], i) << "sender " << s;
+    }
+  }
+}
+
+TEST(SimNetwork, NoMessageIsDispatchedBeforeItsDeliveryTime) {
+  SimNetwork::Config config;
+  config.base_latency_us = 300;
+  config.jitter_us = 100;
+  SimNetwork net(config);
+  constexpr int kMessages = 200;
+  std::atomic<int> count{0};
+  std::atomic<std::uint64_t> min_wait_ns{~std::uint64_t{0}};
+  const NodeId a = net.add_endpoint([](NodeId, MessagePtr) {});
+  const NodeId b = net.add_endpoint([&](NodeId, MessagePtr m) {
+    const std::uint64_t wait = now_ns() - message_as<StampedMsg>(m).sent_ns;
+    std::uint64_t seen = min_wait_ns.load();
+    while (wait < seen && !min_wait_ns.compare_exchange_weak(seen, wait)) {
+    }
+    count.fetch_add(1);
+  });
+  for (int i = 0; i < kMessages; ++i) {
+    net.send(a, b, make_message<StampedMsg>(0, i, now_ns()));
+    if (i % 20 == 0) std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  for (int t = 0; t < 400 && count.load() < kMessages; ++t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(count.load(), kMessages);
+  EXPECT_GE(min_wait_ns.load(), config.base_latency_us * 1000);
+}
+
+TEST(SimNetwork, HandlerCanSendToItsOwnEndpoint) {
+  SimNetwork net(fast_config());
+  std::atomic<int> last{-1};
+  NodeId self = -1;
+  self = net.add_endpoint([&](NodeId from, MessagePtr m) {
+    const int value = message_as<IntMsg>(m).value;
+    EXPECT_EQ(from, self);
+    last = value;
+    if (value < 20) net.send(self, self, make_message<IntMsg>(value + 1));
+  });
+  net.send(self, self, make_message<IntMsg>(0));
+  for (int t = 0; t < 400 && last.load() < 20; ++t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(last.load(), 20);
+}
+
+TEST(SimNetwork, SendToRemovedEndpointCountsAsDropped) {
+  SimNetwork net(fast_config());
+  std::atomic<int> count{0};
+  const NodeId a = net.add_endpoint([](NodeId, MessagePtr) {});
+  const NodeId b =
+      net.add_endpoint([&](NodeId, MessagePtr) { count.fetch_add(1); });
+  net.remove_endpoint(b);
+  const std::uint64_t dropped = net.messages_dropped();
+  net.send(a, b, make_message<IntMsg>(1));
+  EXPECT_EQ(net.messages_dropped(), dropped + 1);
+  EXPECT_EQ(net.in_flight(), 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(count.load(), 0);
+  EXPECT_EQ(net.messages_delivered(), 0u);
 }
 
 }  // namespace

@@ -588,5 +588,76 @@ TEST(SmrDedup, ReplyCacheRingAnswersInWindowRetransmissions) {
   deployment.stop();
 }
 
+// Forwards to a SimNetwork, except that the first Request carrying
+// `lost_seq` on its way to `leader` is lost.
+class LoseOneRequest final : public Transport {
+ public:
+  LoseOneRequest(SimNetwork::Config config, NodeId leader,
+                 std::uint64_t lost_seq)
+      : net_(config), leader_(leader), lost_seq_(lost_seq) {}
+
+  NodeId add_endpoint(Handler handler) override {
+    return net_.add_endpoint(std::move(handler));
+  }
+  void send(NodeId from, NodeId to, MessagePtr m) override {
+    if (to == leader_ && m->type == msg::kRequest) {
+      for (const Command& c : message_as<RequestMsg>(m).commands) {
+        if (c.client_seq == lost_seq_ && !lost_.exchange(true)) return;
+      }
+    }
+    net_.send(from, to, std::move(m));
+  }
+  void remove_endpoint(NodeId node) override { net_.remove_endpoint(node); }
+  void shutdown() override { net_.shutdown(); }
+  std::uint64_t messages_delivered() const override {
+    return net_.messages_delivered();
+  }
+  std::uint64_t messages_dropped() const override {
+    return net_.messages_dropped();
+  }
+
+ private:
+  SimNetwork net_;
+  const NodeId leader_;
+  const std::uint64_t lost_seq_;
+  std::atomic<bool> lost_{false};
+};
+
+TEST(SmrDedup, CommandWhoseFirstRequestWasLostStillExecutes) {
+  // The leader never sees the first Request for seq 2 of a pipeline-4
+  // client, so seqs 3..5 are ordered and inserted before it. The resent
+  // seq 2 is below the client's high-water mark but was never inserted: it
+  // must execute and be answered, not be dropped as a duplicate.
+  Deployment::Config config =
+      make_config(SchedulerPolicy::kCosDag, CosKind::kLockFree, 2);
+  config.transport_factory = [net = config.net] {
+    return std::make_unique<LoseOneRequest>(net, /*leader=*/0, /*lost_seq=*/2);
+  };
+  Deployment deployment(config, [] { return std::make_unique<KvService>(); });
+  KvService builder;
+  std::atomic<std::uint64_t> next{0};
+  SmrClient::Config client_config;
+  client_config.pipeline = 4;
+  client_config.resend_timeout_ms = 50;
+  client_config.tick_interval_ms = 5;
+  SmrClient& client = deployment.add_client(client_config, [&] {
+    return builder.make_put(next.fetch_add(1) % 16, 1);
+  });
+  deployment.start();
+  for (int t = 0; t < 1000 && client.completed() < 100; ++t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GE(client.completed(), 100u);
+  EXPECT_TRUE(client.drain(3000)) << "a command was never answered";
+  const std::uint64_t completed = client.completed();
+  EXPECT_EQ(completed, next.load());
+  EXPECT_TRUE(wait_executed(deployment, completed));
+  deployment.stop();
+  for (int i = 0; i < deployment.replica_count(); ++i) {
+    EXPECT_EQ(deployment.replica(i).executed_count(), completed)
+        << "replica " << i;
+  }
+}
+
 }  // namespace
 }  // namespace psmr
