@@ -1,12 +1,11 @@
 #include "cos/factory.h"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "cos/coarse_grained.h"
+#include "cos/early_sched.h"
 #include "cos/fine_grained.h"
 #include "cos/lock_free.h"
-#include "cos/parallel_insert.h"
 #include "cos/striped.h"
 
 namespace psmr {
@@ -32,26 +31,19 @@ std::unique_ptr<Cos> make_cos(const CosOptions& options) {
   std::abort();  // unreachable: the switch above is exhaustive over CosKind
 }
 
-std::unique_ptr<Cos> make_parallel_insert_cos(const CosOptions& options) {
-  if (!options.indexed ||
-      conflict_key_extractor(options.conflict) == nullptr) {
-    return make_cos(options);  // no key space to shard; serial DAG fallback
+std::unique_ptr<Cos> make_scheduler(SchedulerPolicy policy,
+                                    const CosOptions& options,
+                                    ClassMapFn class_map, int workers) {
+  switch (policy) {
+    case SchedulerPolicy::kCosDag:
+      return make_cos(options);
+    case SchedulerPolicy::kEarlyScheduling:
+      return std::make_unique<EarlyCos>(make_cos(options), class_map, workers,
+                                        options.capacity);
+    case SchedulerPolicy::kSequential:
+      return nullptr;
   }
-  const std::size_t shards = options.insert_shards != 0
-                                 ? options.insert_shards
-                                 : 4 * std::max<std::size_t>(
-                                           options.inserter_threads, 1);
-  return std::make_unique<ParallelInsertCos>(options.capacity,
-                                             options.conflict, shards,
-                                             options.inserter_threads);
-}
-
-std::unique_ptr<Cos> make_cos(CosKind kind, std::size_t max_size,
-                              ConflictFn conflict, bool indexed) {
-  return make_cos(CosOptions{.kind = kind,
-                             .capacity = max_size,
-                             .conflict = conflict,
-                             .indexed = indexed});
+  std::abort();  // unreachable: the switch above is exhaustive
 }
 
 bool parse_cos_kind(std::string_view name, CosKind* out) {
@@ -88,8 +80,6 @@ bool parse_scheduler_policy(std::string_view name, SchedulerPolicy* out) {
     *out = SchedulerPolicy::kCosDag;
   } else if (name == "early" || name == "early-scheduling") {
     *out = SchedulerPolicy::kEarlyScheduling;
-  } else if (name == "parallel-insert" || name == "pinsert") {
-    *out = SchedulerPolicy::kParallelInsert;
   } else if (name == "sequential" || name == "seq") {
     *out = SchedulerPolicy::kSequential;
   } else {
@@ -104,8 +94,6 @@ const char* scheduler_policy_name(SchedulerPolicy policy) {
       return "cos-dag";
     case SchedulerPolicy::kEarlyScheduling:
       return "early";
-    case SchedulerPolicy::kParallelInsert:
-      return "parallel-insert";
     case SchedulerPolicy::kSequential:
       return "sequential";
   }

@@ -1,12 +1,14 @@
 // Construction of COS implementations by name/enum — used by the drivers,
 // benchmarks and examples to sweep all techniques uniformly — plus the
 // scheduler-policy enum that selects how a replica turns delivery order
-// into execution order.
+// into execution order, and make_scheduler(), the one place a policy
+// becomes a Cos.
 #pragma once
 
 #include <memory>
 #include <string_view>
 
+#include "cos/class_map.h"
 #include "cos/cos.h"
 #include "cos/reclaim.h"
 
@@ -23,7 +25,6 @@ enum class CosKind {
 enum class SchedulerPolicy {
   kCosDag,          // parallel SMR: every command goes through the COS DAG
   kEarlyScheduling, // class-routed per-worker queues; DAG only for barriers
-  kParallelInsert,  // sharded key-index DAG; pooled inserter threads
   kSequential,      // classical SMR: the scheduler executes everything
 };
 
@@ -51,30 +52,20 @@ struct CosOptions {
   // Striped DAG only: nodes per segment lock (the granularity spectrum's
   // dial; 1 behaves like fine-grained, huge widths like coarse-grained).
   std::size_t segment_width = 16;
-  // Parallel-insert scheduling (SchedulerPolicy::kParallelInsert /
-  // make_parallel_insert_cos) only. Key-space shards, rounded up to a power
-  // of two; 0 = auto (4x the inserter threads, so the static
-  // shard-to-thread assignment balances even under moderate skew).
-  std::size_t insert_shards = 0;
-  // Dependency-probe pool size; clamped to [1, shards]. 1 reproduces the
-  // single-inserter pipeline (the ablation baseline).
-  std::size_t inserter_threads = 2;
 };
 
 std::unique_ptr<Cos> make_cos(const CosOptions& options);
 
-// Builds the sharded parallel-insert COS (cos/parallel_insert.h) when the
-// relation is per-key-decomposable and `indexed` is on; otherwise falls
-// back to make_cos(options) — opaque relations have no key space to shard,
-// so the serial pairwise DAG keeps its semantics.
-std::unique_ptr<Cos> make_parallel_insert_cos(const CosOptions& options);
-
-// Deprecated positional overload, kept for one release as a shim over
-// CosOptions. It cannot reach the lock-free reclaim or striped
-// segment-width knobs; new code should brace up a CosOptions instead.
-[[deprecated("use make_cos(const CosOptions&)")]]
-std::unique_ptr<Cos> make_cos(CosKind kind, std::size_t max_size,
-                              ConflictFn conflict, bool indexed = true);
+// The scheduler for `policy`, to be drained by exactly `workers` consumer
+// threads:
+//   kCosDag           make_cos(options);
+//   kEarlyScheduling  an EarlyCos (cos/early_sched.h) routing by `class_map`,
+//                     with that DAG as its barrier fallback;
+//   kSequential       nullptr — there is no COS; the caller executes every
+//                     command itself, in delivery order.
+std::unique_ptr<Cos> make_scheduler(SchedulerPolicy policy,
+                                    const CosOptions& options,
+                                    ClassMapFn class_map, int workers);
 
 // Parses "coarse-grained" / "fine-grained" / "lock-free" / "striped" (also
 // accepts the short forms "coarse", "fine", "lockfree"). Returns false on
@@ -83,9 +74,8 @@ bool parse_cos_kind(std::string_view name, CosKind* out);
 
 const char* cos_kind_name(CosKind kind);
 
-// Parses "cos-dag" / "early" / "parallel-insert" / "sequential" (also
-// accepts "dag", "early-scheduling", "pinsert", "seq"). Returns false on
-// unknown names.
+// Parses "cos-dag" / "early" / "sequential" (also accepts "dag",
+// "early-scheduling", "seq"). Returns false on unknown names.
 bool parse_scheduler_policy(std::string_view name, SchedulerPolicy* out);
 
 const char* scheduler_policy_name(SchedulerPolicy policy);

@@ -7,7 +7,6 @@
 
 #include "codec/codec.h"
 #include "common/stopwatch.h"
-#include "cos/early_sched.h"
 
 namespace psmr {
 
@@ -16,7 +15,6 @@ Replica::Replica(Transport& net, int index, std::unique_ptr<Service> service,
     : net_(net),
       index_(index),
       config_(config),
-      policy_(config.effective_policy()),
       service_(std::move(service)),
       metrics_{MetricsRegistry::global().counter("scheduler.batches"),
                MetricsRegistry::global().counter("scheduler.batch_commands"),
@@ -29,25 +27,10 @@ Replica::Replica(Transport& net, int index, std::unique_ptr<Service> service,
                MetricsRegistry::global().histogram("scheduler.batch_size")} {
   endpoint_ = net_.add_endpoint(
       [this](NodeId from, MessagePtr m) { handle_message(from, std::move(m)); });
-  if (policy_ != SchedulerPolicy::kSequential) {
-    CosOptions cos_options = config_.cos;
-    cos_options.conflict = service_->conflict();
-    if (policy_ == SchedulerPolicy::kParallelInsert) {
-      // Falls back to the serial DAG when the service's relation is opaque
-      // (no key space to shard).
-      cos_ = make_parallel_insert_cos(cos_options);
-    } else {
-      auto dag = make_cos(cos_options);
-      if (policy_ == SchedulerPolicy::kEarlyScheduling) {
-        cos_ = std::make_unique<EarlyCos>(std::move(dag),
-                                          service_->class_map(),
-                                          config_.workers,
-                                          cos_options.capacity);
-      } else {
-        cos_ = std::move(dag);
-      }
-    }
-  }
+  CosOptions cos_options = config_.cos;
+  cos_options.conflict = service_->conflict();
+  cos_ = make_scheduler(config_.policy, cos_options, service_->class_map(),
+                        config_.workers);
 }
 
 // All delivery-path hand-offs to the scheduler queue go through here: a
@@ -103,7 +86,7 @@ void Replica::start() {
   if (running_.exchange(true)) return;
   broadcast_.load(std::memory_order_acquire)->start();
   scheduler_ = std::thread([this] { scheduler_loop(); });
-  if (policy_ != SchedulerPolicy::kSequential) {
+  if (cos_ != nullptr) {
     for (int w = 0; w < config_.workers; ++w) {
       workers_.emplace_back([this] { worker_loop(); });
     }
@@ -226,8 +209,16 @@ void Replica::scheduler_loop() {
       }
     }
     scheduled_count_ += fresh.size();
-    if (policy_ == SchedulerPolicy::kSequential) {
-      for (const Command& c : fresh) execute_and_reply(c);
+    if (cos_ == nullptr) {
+      // Sequential SMR: execute here, in delivery order. Timed into
+      // worker.exec_ns like worker_loop, so both modes report the stage.
+      if constexpr (kMetricsEnabled) {
+        const std::uint64_t t0 = now_ns();
+        for (const Command& c : fresh) execute_and_reply(c);
+        metrics_.worker_exec_ns.inc(now_ns() - t0);
+      } else {
+        for (const Command& c : fresh) execute_and_reply(c);
+      }
     } else if (!fresh.empty()) {
       if (!cos_->insert_batch(fresh)) return;  // closed
       population_sum_.fetch_add(cos_->approx_size(),

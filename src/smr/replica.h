@@ -12,7 +12,7 @@
 // Early-scheduling mode routes most commands straight to per-worker queues
 // using the service's static class map and keeps the DAG only as a barrier
 // fallback (cos/early_sched.h); the scheduler and worker loops are
-// identical — the policy only changes which Cos is constructed.
+// identical — the policy only changes which Cos make_scheduler() builds.
 //
 // At-most-once execution: commands are identified by (client, client_seq).
 // The scheduler skips any command it already inserted: it keeps, per
@@ -56,20 +56,12 @@ class Replica {
     // fallback — uses the service's class_map()), or the classical
     // sequential baseline.
     SchedulerPolicy policy = SchedulerPolicy::kCosDag;
-    // Deprecated alias, folded into `policy`: true forces
-    // SchedulerPolicy::kSequential regardless of `policy`. Kept for one
-    // release for pre-policy callers.
-    bool sequential = false;
     // COS construction knobs (kind, capacity, indexed, reclaim,
     // segment_width). `cos.conflict` is ignored — the replica always uses
     // the service's conflict relation.
     CosOptions cos;
     int workers = 4;
     SequencedBroadcast::Config broadcast;
-
-    SchedulerPolicy effective_policy() const {
-      return sequential ? SchedulerPolicy::kSequential : policy;
-    }
   };
 
   // Registers this replica's network endpoint. After all replicas of the
@@ -128,7 +120,8 @@ class Replica {
     Counter& batch_commands;    // commands in those batches (pre-dedup)
     Counter& dedup_hits;        // retransmissions dropped by at-most-once
     Counter& reply_cache_hits;  // retransmissions answered from the cache
-    Counter& worker_exec_ns;    // total worker time executing commands
+    Counter& worker_exec_ns;    // total time executing commands (workers,
+                                // or the scheduler in sequential mode)
     Counter& worker_stall_ns;   // total worker time blocked in cos->get()
     Counter& dropped_deliveries;  // push on a closed queue while running_
     Gauge& queue_depth;         // delivered_ hand-off queue occupancy
@@ -154,7 +147,6 @@ class Replica {
   Transport& net_;
   const int index_;
   const Config config_;
-  const SchedulerPolicy policy_;  // config_.effective_policy(), resolved once
   std::unique_ptr<Service> service_;  // NOLINT(psmr-guarded-by-coverage) set in ctor, before any thread starts
   NodeId endpoint_ = -1;  // NOLINT(psmr-guarded-by-coverage) written in connect() before threads start
 
@@ -166,7 +158,9 @@ class Replica {
   std::atomic<SequencedBroadcast*> broadcast_{nullptr};
   BlockingQueue<Delivery> delivered_;
 
-  std::unique_ptr<Cos> cos_;  // NOLINT(psmr-guarded-by-coverage) created in connect() before worker threads start
+  // make_scheduler(config_.policy, ...); nullptr in sequential mode, where
+  // the scheduler thread executes every command itself.
+  std::unique_ptr<Cos> cos_;  // NOLINT(psmr-guarded-by-coverage) created in the ctor before worker threads start
   std::thread scheduler_;
   std::vector<std::thread> workers_;  // NOLINT(psmr-guarded-by-coverage) created/joined by the owner thread only
   std::atomic<bool> running_{false};

@@ -1,12 +1,13 @@
 #include "workload/ds_driver.h"
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
 #include "common/padded.h"
 #include "common/stopwatch.h"
-#include "cos/early_sched.h"
 #include "workload/generator.h"
 
 namespace psmr {
@@ -16,17 +17,14 @@ DsDriverResult run_ds_benchmark(const DsDriverConfig& config) {
   LinkedListService service(list_size);
   CosOptions cos_options = config.cos;
   cos_options.conflict = service.conflict();
-  std::unique_ptr<Cos> cos;
-  if (config.policy == SchedulerPolicy::kParallelInsert) {
-    // The list relation is opaque (no key extractor), so this resolves to
-    // the serial DAG fallback; kept so a policy sweep over the driver works.
-    cos = make_parallel_insert_cos(cos_options);
-  } else {
-    cos = make_cos(cos_options);
-    if (config.policy == SchedulerPolicy::kEarlyScheduling) {
-      cos = std::make_unique<EarlyCos>(std::move(cos), service.class_map(),
-                                       config.workers, cos_options.capacity);
-    }
+  std::unique_ptr<Cos> cos = make_scheduler(
+      config.policy, cos_options, service.class_map(), config.workers);
+  if (cos == nullptr) {
+    std::fprintf(stderr,
+                 "ds driver: policy %s has no COS to drive (use cos-dag or "
+                 "early)\n",
+                 scheduler_policy_name(config.policy));
+    std::exit(2);
   }
 
   auto commands = make_list_workload(config.precreated_commands,

@@ -18,9 +18,8 @@ namespace psmr {
 
 struct DsDriverConfig {
   // kCosDag runs every command through the COS; kEarlyScheduling routes
-  // reads to per-worker queues via the list service's class map
-  // (kSequential is meaningless for the standalone harness and treated as
-  // kCosDag).
+  // reads to per-worker queues via the list service's class map.
+  // kSequential has no COS to drive: run_ds_benchmark exits with a message.
   SchedulerPolicy policy = SchedulerPolicy::kCosDag;
   // COS knobs; `cos.conflict` is ignored — the driver always uses the
   // service's relation.

@@ -5,9 +5,10 @@
 // the soundness contract they promise the scheduler.
 //
 // Part 2 covers the factory surface: name round-trips for every CosKind and
-// SchedulerPolicy value (including aliases), the deprecated positional
-// make_cos overload, and reachability of the new CosOptions knobs
-// (LockFreeReclaim, segment_width) through the factory.
+// SchedulerPolicy value (including aliases), reachability of the CosOptions
+// knobs (LockFreeReclaim, segment_width) through the factory, what
+// make_scheduler builds for each policy, and the scheduler flags the CLI
+// accepts (tools/options.h).
 //
 // Part 3 is the equivalence proof the tentpole rests on: for randomized
 // Zipf KV, bank (with cross-class transfers) and linked-list workloads, the
@@ -19,6 +20,7 @@
 
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -31,6 +33,7 @@
 #include "cos/factory.h"
 #include "cos/lock_free.h"
 #include "cos/striped.h"
+#include "tools/options.h"
 #include "workload/ds_driver.h"
 #include "workload/generator.h"
 
@@ -174,20 +177,46 @@ TEST(Factory, SchedulerPolicyNamesRoundTrip) {
   EXPECT_FALSE(parse_scheduler_policy("eager", &parsed));
 }
 
-TEST(Factory, DeprecatedPositionalOverloadStillWorks) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  auto cos = make_cos(CosKind::kLockFree, 64, rw_conflict);
-#pragma GCC diagnostic pop
-  ASSERT_NE(cos, nullptr);
-  Command c = LinkedListService::make_contains(1);
-  c.id = 1;
-  ASSERT_TRUE(cos->insert(c));
-  CosHandle h = cos->get();
-  ASSERT_TRUE(h);
-  EXPECT_EQ(h.cmd->id, 1u);
-  cos->remove(h);
-  cos->close();
+TEST(Factory, RemovedPolicyNamesAreRejected) {
+  SchedulerPolicy parsed = SchedulerPolicy::kCosDag;
+  EXPECT_FALSE(parse_scheduler_policy("parallel-insert", &parsed));
+  EXPECT_FALSE(parse_scheduler_policy("pinsert", &parsed));
+  EXPECT_EQ(parsed, SchedulerPolicy::kCosDag);
+}
+
+TEST(Factory, MakeSchedulerBuildsOneCosPerPolicy) {
+  const CosOptions options{.kind = CosKind::kLockFree,
+                           .capacity = 64,
+                           .conflict = keyset_rw_conflict};
+  auto dag = make_scheduler(SchedulerPolicy::kCosDag, options,
+                            keyed_class_map, 2);
+  ASSERT_NE(dag, nullptr);
+  EXPECT_NE(dynamic_cast<LockFreeCos*>(dag.get()), nullptr);
+  dag->close();
+
+  auto early = make_scheduler(SchedulerPolicy::kEarlyScheduling, options,
+                              keyed_class_map, 2);
+  ASSERT_NE(early, nullptr);
+  EXPECT_NE(dynamic_cast<EarlyCos*>(early.get()), nullptr);
+  early->close();
+
+  EXPECT_EQ(make_scheduler(SchedulerPolicy::kSequential, options,
+                           keyed_class_map, 2),
+            nullptr);
+}
+
+// psmr_node exits 2 when parse() fails, so these flags are rejected there.
+TEST(SchedulerFlagsTest, RemovedFlagsFailToParse) {
+  for (const char* removed :
+       {"--sequential", "--insert-shards=4", "--inserter-threads=2"}) {
+    tools::FlagSet flags;
+    tools::SchedulerFlags sched;
+    sched.register_with(&flags);
+    char program[] = "psmr_node";
+    std::string arg = removed;
+    char* argv[] = {program, arg.data()};
+    EXPECT_FALSE(flags.parse(2, argv)) << removed;
+  }
 }
 
 TEST(Factory, ReclaimKnobReachesLockFreeCos) {
@@ -370,6 +399,14 @@ TEST(EarlySched, SchedulerCountersMove) {
   EXPECT_GT(final_snap.counter("scheduler.barrier_waits") -
                 before.counter("scheduler.barrier_waits"),
             0u);
+}
+
+TEST(EarlySchedDeathTest, DsDriverRejectsSequentialPolicy) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DsDriverConfig config;
+  config.policy = SchedulerPolicy::kSequential;
+  EXPECT_EXIT(run_ds_benchmark(config), ::testing::ExitedWithCode(2),
+              "no COS to drive");
 }
 
 TEST(EarlySched, DsDriverMakesProgressUnderEarlyPolicy) {

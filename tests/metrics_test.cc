@@ -219,6 +219,36 @@ TEST(MetricsEndToEnd, DeploymentMovesEveryLayersCounters) {
   EXPECT_GT(delta(before, after, "worker.exec_ns"), 0u);
 }
 
+// Sequential SMR executes on the scheduler thread, not on workers, and must
+// still report the execute stage so the two modes compare stage by stage.
+TEST(MetricsEndToEnd, SequentialReplicaReportsExecTime) {
+  const MetricsSnapshot before = MetricsRegistry::global().snapshot();
+
+  Deployment::Config config = deployment_config();
+  config.replicas = 1;
+  config.replica.policy = SchedulerPolicy::kSequential;
+  Deployment deployment(config, [] { return std::make_unique<KvService>(); });
+  KvService builder;
+  std::atomic<std::uint64_t> next{0};
+  SmrClient::Config client_config;
+  client_config.pipeline = 4;
+  deployment.add_client(client_config, [&] {
+    return builder.make_put(next.fetch_add(1) % 64, 1);
+  });
+  deployment.start();
+  for (int t = 0; t < 2000 && deployment.replica(0).executed_count() < 100;
+       ++t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GE(deployment.replica(0).executed_count(), 100u);
+  for (SmrClient* client : deployment.clients()) client->drain(3000);
+  deployment.stop();
+
+  const MetricsSnapshot after = MetricsRegistry::global().snapshot();
+  if constexpr (!kMetricsEnabled) return;
+  EXPECT_GT(delta(before, after, "worker.exec_ns"), 0u);
+}
+
 TEST(MetricsEndToEnd, ResendAndDuplicateCountersMoveUnderMessageLoss) {
   const MetricsSnapshot before = MetricsRegistry::global().snapshot();
 

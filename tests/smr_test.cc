@@ -90,8 +90,6 @@ std::string smr_param_name(const ::testing::TestParamInfo<SmrParam>& info) {
   }
   if (info.param.policy == SchedulerPolicy::kEarlyScheduling) {
     name = "Early" + name;
-  } else if (info.param.policy == SchedulerPolicy::kParallelInsert) {
-    name = "ParallelInsert" + name;
   }
   return name + "_w" + std::to_string(info.param.workers);
 }
@@ -151,25 +149,8 @@ INSTANTIATE_TEST_SUITE_P(
         SmrParam{SchedulerPolicy::kCosDag, CosKind::kLockFree, 4},
         SmrParam{SchedulerPolicy::kCosDag, CosKind::kLockFree, 8},
         SmrParam{SchedulerPolicy::kEarlyScheduling, CosKind::kLockFree, 2},
-        SmrParam{SchedulerPolicy::kEarlyScheduling, CosKind::kLockFree, 4},
-        // The list relation is opaque, so parallel-insert resolves to the
-        // serial-DAG fallback here; this covers the replica policy plumbing.
-        // The keyed sharded path runs in SmrBank below.
-        SmrParam{SchedulerPolicy::kParallelInsert, CosKind::kLockFree, 4}),
+        SmrParam{SchedulerPolicy::kEarlyScheduling, CosKind::kLockFree, 4}),
     smr_param_name);
-
-// The deprecated `sequential` flag must keep forcing the sequential policy
-// over whatever `policy` says (pre-policy callers set only the bool).
-TEST(SmrConfig, DeprecatedSequentialAliasWins) {
-  Replica::Config config;
-  config.sequential = true;
-  config.policy = SchedulerPolicy::kCosDag;
-  EXPECT_EQ(config.effective_policy(), SchedulerPolicy::kSequential);
-  config.sequential = false;
-  EXPECT_EQ(config.effective_policy(), SchedulerPolicy::kCosDag);
-  config.policy = SchedulerPolicy::kEarlyScheduling;
-  EXPECT_EQ(config.effective_policy(), SchedulerPolicy::kEarlyScheduling);
-}
 
 // Runs under both the DAG and early-scheduling policies: the transfer mix
 // includes cross-class transfers (accounts in different classes), which
@@ -222,12 +203,6 @@ TEST(SmrBank, TransfersConserveMoneyAcrossReplicas) {
 
 TEST(SmrBank, TransfersConserveMoneyUnderEarlyScheduling) {
   run_bank_conservation(SchedulerPolicy::kEarlyScheduling);
-}
-
-// The bank relation is per-key-decomposable, so this runs the sharded
-// parallel-insert pipeline (pooled inserter threads) end to end.
-TEST(SmrBank, TransfersConserveMoneyUnderParallelInsert) {
-  run_bank_conservation(SchedulerPolicy::kParallelInsert);
 }
 
 TEST(SmrKv, PerKeyConflictsStillLinearizePerKey) {
