@@ -1,24 +1,58 @@
 #include "app/linked_list_service.h"
 
+#include <functional>
+
 #include "codec/codec.h"
 
 namespace psmr {
 
 LinkedListService::LinkedListService(std::size_t initial_size) {
-  // Build the sorted list 0..initial_size-1 back to front.
-  for (std::size_t i = initial_size; i-- > 0;) {
-    head_ = new ListNode{static_cast<std::uint64_t>(i), head_};
-  }
-  size_ = initial_size;
+  // The sorted list 0..initial_size-1, as in the paper.
+  std::vector<std::uint64_t> values(initial_size);
+  for (std::size_t i = 0; i < initial_size; ++i) values[i] = i;
+  build(values);
 }
 
-LinkedListService::~LinkedListService() {
+LinkedListService::~LinkedListService() { free_nodes(); }
+
+bool LinkedListService::in_arena(const ListNode* node) const {
+  const std::less<const ListNode*> before;
+  return !before(node, arena_.get()) &&
+         before(node, arena_.get() + arena_size_);
+}
+
+void LinkedListService::free_nodes() {
   ListNode* node = head_;
   while (node != nullptr) {
     ListNode* next = node->next;
-    delete node;
+    if (!in_arena(node)) delete node;
     node = next;
   }
+  head_ = nullptr;
+  arena_.reset();
+  arena_size_ = 0;
+  size_ = 0;
+}
+
+void LinkedListService::build(const std::vector<std::uint64_t>& values) {
+  free_nodes();
+  if (values.empty()) return;
+  arena_ = std::make_unique_for_overwrite<ListNode[]>(values.size());
+  arena_size_ = values.size();
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    arena_[i] = {values[i], i + 1 < values.size() ? &arena_[i + 1] : nullptr};
+  }
+  head_ = arena_.get();
+  size_ = values.size();
+}
+
+std::vector<const void*> LinkedListService::node_addresses() const {
+  std::vector<const void*> addresses;
+  addresses.reserve(size_);
+  for (const ListNode* node = head_; node != nullptr; node = node->next) {
+    addresses.push_back(node);
+  }
+  return addresses;
 }
 
 Response LinkedListService::execute(const Command& c) {
@@ -93,18 +127,7 @@ bool LinkedListService::restore(std::span<const std::uint8_t> bytes) {
     values.push_back(previous);
   }
   if (!in.ok()) return false;
-  // Rebuild back-to-front (values are sorted ascending).
-  ListNode* node = head_;
-  while (node != nullptr) {
-    ListNode* next = node->next;
-    delete node;
-    node = next;
-  }
-  head_ = nullptr;
-  for (std::size_t i = values.size(); i-- > 0;) {
-    head_ = new ListNode{values[i], head_};
-  }
-  size_ = values.size();
+  build(values);
   return true;
 }
 

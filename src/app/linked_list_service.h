@@ -7,8 +7,9 @@
 // the head.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "app/service.h"
 
@@ -60,6 +61,9 @@ class LinkedListService final : public Service {
 
   std::size_t size() const { return size_; }
 
+  // Test hook: the address of every node, in list order.
+  std::vector<const void*> node_addresses() const;
+
   // Command builders (the workload generator and clients use these).
   static Command make_contains(std::uint64_t value);
   static Command make_add(std::uint64_t value);
@@ -72,7 +76,18 @@ class LinkedListService final : public Service {
 
   bool contains(std::uint64_t value) const;
   bool add(std::uint64_t value);
+  // Replaces the list with `values` (ascending), built in list order in one
+  // fresh arena.
+  void build(const std::vector<std::uint64_t>& values);
+  bool in_arena(const ListNode* node) const;
+  void free_nodes();
 
+  // The initial nodes and those restore() builds sit in one contiguous
+  // array, in ascending list order, like the bump allocation of the paper's
+  // JVM: a walk reads memory front to back, whatever the allocator did
+  // before. Only add() of a new value allocates a node on its own.
+  std::unique_ptr<ListNode[]> arena_;
+  std::size_t arena_size_ = 0;
   ListNode* head_ = nullptr;
   std::size_t size_ = 0;
 };

@@ -86,20 +86,20 @@ void SequencedBroadcast::propose_locked(bool partial) {
   while (pending_.size() >= config_.batch_max ||
          (partial && !pending_.empty())) {
     const std::size_t take = std::min(pending_.size(), config_.batch_max);
-    std::vector<Command> batch(pending_.begin(),
-                               pending_.begin() + static_cast<long>(take));
-    pending_.erase(pending_.begin(), pending_.begin() + static_cast<long>(take));
-
     const std::uint64_t seq = next_seq_++;
     last_proposed_seq_ = seq;
     metrics_.proposals.inc();
     Slot& slot = log_[seq];
     slot.view = view_;
-    slot.batch = batch;
+    slot.batch.assign(pending_.begin(),
+                      pending_.begin() + static_cast<long>(take));
+    pending_.erase(pending_.begin(), pending_.begin() + static_cast<long>(take));
     slot.acks = {index_};
     slot.accept_sent_ns = now_ns();
-    broadcast_to_replicas_locked(
-        make_message<AcceptMsg>(view_, seq, std::move(batch)));
+    if (has_peers()) {
+      broadcast_to_replicas_locked(
+          make_message<AcceptMsg>(view_, seq, slot.batch));
+    }
 
     // Single-replica deployments (n = 1): self-ack is already a majority.
     if (slot.acks.size() * 2 > replicas_.size()) commit_locked(seq, slot);
@@ -120,7 +120,9 @@ bool SequencedBroadcast::proposal_in_flight_locked() const {
 void SequencedBroadcast::commit_locked(std::uint64_t seq, Slot& slot) {
   slot.committed = true;
   slot.commit_view = view_;
-  broadcast_to_replicas_locked(make_message<CommitMsg>(view_, seq));
+  if (has_peers()) {
+    broadcast_to_replicas_locked(make_message<CommitMsg>(view_, seq));
+  }
 }
 
 void SequencedBroadcast::resend_unacked_locked(std::uint64_t now) {
@@ -426,12 +428,23 @@ void SequencedBroadcast::adopt_new_view_locked(const NewViewMsg& nv) {
 }
 
 void SequencedBroadcast::timer_loop() {
+  const std::uint64_t timeout_ns = config_.leader_timeout_ms * 1'000'000ull;
+  const std::uint64_t tick_ns = config_.tick_interval_ms * 1'000'000ull;
   MutexLock lock(mu_);
+  std::uint64_t last_tick_ns = now_ns();
   while (!stopping_) {
     timer_cv_.wait_for(mu_,
                        std::chrono::milliseconds(config_.tick_interval_ms));
     if (stopping_) return;
     const std::uint64_t now = now_ns();
+    // A tick that arrives late by half the leader timeout or more means this
+    // replica itself was stalled (descheduled, stopped, paging): the leader's
+    // messages are most likely sitting unread in the inbox, so silence says
+    // nothing about the leader. Restart the suspicion clock instead of
+    // suspecting it.
+    const bool stalled = now - last_tick_ns >= tick_ns + timeout_ns / 2;
+    last_tick_ns = now;
+    if (stalled) last_leader_activity_ns_ = now;
     const bool am_leader = leader_of(view_) == index_ && !view_changing_;
     if (am_leader) {
       // Stall fallback: commands held behind a proposal that has not
@@ -452,8 +465,6 @@ void SequencedBroadcast::timer_loop() {
         last_heartbeat_sent_ns_ = now;
       }
     } else {
-      const std::uint64_t timeout_ns =
-          config_.leader_timeout_ms * 1'000'000ull;
       if (now - last_leader_activity_ns_ >= timeout_ns) {
         // Escalate past views whose leader never materialized.
         const std::uint64_t next =

@@ -42,6 +42,10 @@
 //   which normal case resumes. Uncommitted entries may be re-proposed; the
 //   SMR layer deduplicates by (client, client_seq) so re-execution never
 //   happens.
+//   Silence only counts while this replica itself was running: a timer tick
+//   that arrives late by half the leader timeout or more (the process was
+//   stopped or descheduled, and the leader's messages wait unread in its
+//   inbox) restarts the suspicion clock instead of starting a view change.
 //
 // Delivery ordering guarantee (uniform total order): all replicas deliver
 // the same batches in the same sequence order; delivery is gap-free and
@@ -153,6 +157,9 @@ class SequencedBroadcast {
   int leader_of(std::uint64_t v) const {
     return static_cast<int>(v % replicas_.size());
   }
+  // False for a single replica, which proposes and commits on its own and
+  // builds no ACCEPT or COMMIT that nobody would receive.
+  bool has_peers() const { return replicas_.size() > 1; }
 
   struct Metrics {
     Counter& proposals;           // batches proposed (leader side)

@@ -1,7 +1,8 @@
 // Unbounded MPMC blocking queue with close() semantics.
 //
-// Used as the inbox of simulated-network endpoints and as the hand-off
-// between the atomic-broadcast delivery path and the replica scheduler.
+// Used as the inbox of the TCP transport's dispatcher and as the hand-off
+// between the atomic-broadcast delivery path and the replica scheduler,
+// which drains it with pop_all() once per wake-up.
 //
 // Locking: transports push() while holding their own mutex, so mu_ ranks
 // below the transport layer and above the COS locks the scheduler takes
@@ -44,6 +45,18 @@ class BlockingQueue {
     T item = std::move(items_.front());
     items_.pop_front();
     return item;
+  }
+
+  // Blocks until an item is available or the queue is closed, then moves
+  // every queued item, in order, into `out` (which it clears first) with one
+  // lock acquisition. Returns false iff the queue is closed and drained.
+  bool pop_all(std::deque<T>& out) {
+    out.clear();
+    MutexLock lock(mu_);
+    while (items_.empty() && !closed_) pop_wakeup_.wait(mu_);
+    if (items_.empty()) return false;
+    items_.swap(out);
+    return true;
   }
 
   std::optional<T> try_pop() {

@@ -57,7 +57,7 @@ namespace lock_rank {
 // for future layers without renumbering. Rationale for each ordering edge
 // is in DESIGN.md "Lock hierarchy and concurrency enforcement".
 inline constexpr int kSmrClient = 100;       // SmrClient::mu_
-inline constexpr int kReplicaClients = 120;  // Replica::clients_mu_
+inline constexpr int kReplicaClients = 120;  // Replica reply-cache stripes
 inline constexpr int kBroadcast = 200;       // SequencedBroadcast::mu_
 inline constexpr int kTransport = 300;       // TcpTransport::mu_, SimNetwork locks
 inline constexpr int kQueue = 400;           // BlockingQueue::mu_

@@ -7,6 +7,9 @@
 // of being maintained with extra hot-path atomics:
 //   window occupancy  = cos.inserts   - cos.removes
 //   ready-set depth   = cos.ready_enq - cos.gets
+// cos.get_block_ns splits into wake latency (cos.get_wake_ns: from the
+// release that found the parked worker to its return) and the rest, the time
+// with no ready command at all (Semaphore-based variants only).
 #pragma once
 
 #include "common/metrics.h"
@@ -22,6 +25,8 @@ struct CosMetrics {
   Counter& insert_block_ns;  // total ns parked on a full window
   Counter& get_blocks;       // worker parked on an empty ready set
   Counter& get_block_ns;     // total ns parked on an empty ready set
+  Counter& get_wakes;        // parked gets woken with a ready command
+  Counter& get_wake_ns;      // total ns from the waking release to return
 };
 
 inline CosMetrics& cos_metrics() {
@@ -34,6 +39,8 @@ inline CosMetrics& cos_metrics() {
       MetricsRegistry::global().counter("cos.insert_block_ns"),
       MetricsRegistry::global().counter("cos.get_blocks"),
       MetricsRegistry::global().counter("cos.get_block_ns"),
+      MetricsRegistry::global().counter("cos.get_wakes"),
+      MetricsRegistry::global().counter("cos.get_wake_ns"),
   };
   return m;
 }

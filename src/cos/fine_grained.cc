@@ -17,7 +17,8 @@ FineGrainedCos::FineGrainedCos(std::size_t max_size, ConflictFn conflict,
       ready_(0) {
   space_.instrument(&cos_metrics().insert_blocks,
                     &cos_metrics().insert_block_ns);
-  ready_.instrument(&cos_metrics().get_blocks, &cos_metrics().get_block_ns);
+  ready_.instrument(&cos_metrics().get_blocks, &cos_metrics().get_block_ns,
+                    &cos_metrics().get_wakes, &cos_metrics().get_wake_ns);
 }
 
 FineGrainedCos::~FineGrainedCos() {

@@ -20,7 +20,8 @@ LockFreeCos::LockFreeCos(std::size_t max_size, ConflictFn conflict,
       ready_(0) {
   space_.instrument(&cos_metrics().insert_blocks,
                     &cos_metrics().insert_block_ns);
-  ready_.instrument(&cos_metrics().get_blocks, &cos_metrics().get_block_ns);
+  ready_.instrument(&cos_metrics().get_blocks, &cos_metrics().get_block_ns,
+                    &cos_metrics().get_wakes, &cos_metrics().get_wake_ns);
   // Every retire into this domain comes from the insert thread: physical
   // removal (helped_remove) and dep_me array replacement are confined to it
   // (§6.2.1). Have the EBR domain abort in debug builds if that ever stops

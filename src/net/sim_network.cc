@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <iterator>
+#include <stdexcept>
 #include <utility>
 
 #ifdef __linux__
@@ -19,11 +20,27 @@ SimNetwork::SimNetwork(Config config)
                MetricsRegistry::global().counter("net.sim.dropped"),
                MetricsRegistry::global().gauge("net.sim.inflight")} {}
 
-SimNetwork::~SimNetwork() { shutdown(); }
+SimNetwork::~SimNetwork() {
+  shutdown();
+  const std::size_t n = count_.load(std::memory_order_acquire);
+  for (std::size_t id = 0; id < n; ++id) {
+    delete endpoint_at(static_cast<NodeId>(id));
+  }
+  for (std::atomic<Chunk*>& chunk : chunks_) {
+    delete chunk.load(std::memory_order_acquire);
+  }
+}
 
 NodeId SimNetwork::add_endpoint(Handler handler) {
   MutexLock lock(table_mu_);
-  const NodeId id = static_cast<NodeId>(endpoints_.size());
+  const std::size_t id = count_.load(std::memory_order_acquire);
+  if (id == kChunkSize * kMaxChunks) {
+    throw std::length_error("SimNetwork: endpoint directory is full");
+  }
+  std::atomic<Chunk*>& chunk = chunks_[id / kChunkSize];
+  if (chunk.load(std::memory_order_acquire) == nullptr) {
+    chunk.store(new Chunk{}, std::memory_order_release);
+  }
   // Each inbox draws its own jitter and drops, so senders to different
   // destinations share no state.
   auto endpoint = std::make_unique<Endpoint>(
@@ -31,24 +48,32 @@ NodeId SimNetwork::add_endpoint(Handler handler) {
       config_.seed * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(id));
   Endpoint* raw = endpoint.get();
   endpoint->dispatcher = std::thread([this, raw] { dispatch_loop(*raw); });
-  endpoints_.push_back(std::move(endpoint));
-  return id;
+  (*chunk.load(std::memory_order_acquire))[id % kChunkSize].store(
+      endpoint.release(), std::memory_order_release);
+  count_.store(id + 1, std::memory_order_release);  // publish
+  return static_cast<NodeId>(id);
+}
+
+SimNetwork::Endpoint* SimNetwork::endpoint_at(NodeId node) const {
+  if (node < 0) return nullptr;
+  const auto id = static_cast<std::size_t>(node);
+  if (id >= count_.load(std::memory_order_acquire)) return nullptr;
+  const Chunk& chunk = *chunks_[id / kChunkSize].load(std::memory_order_acquire);
+  return chunk[id % kChunkSize].load(std::memory_order_acquire);
 }
 
 SimNetwork::Endpoint* SimNetwork::lookup(NodeId node) const {
-  MutexLock lock(table_mu_);
-  if (stopping_ || node < 0 ||
-      node >= static_cast<NodeId>(endpoints_.size())) {
-    return nullptr;
-  }
-  return endpoints_[static_cast<std::size_t>(node)].get();
+  if (stopping_.load(std::memory_order_acquire)) return nullptr;
+  return endpoint_at(node);
 }
 
 std::vector<SimNetwork::Endpoint*> SimNetwork::all_endpoints() const {
-  MutexLock lock(table_mu_);
+  const std::size_t n = count_.load(std::memory_order_acquire);
   std::vector<Endpoint*> all;
-  all.reserve(endpoints_.size());
-  for (const auto& endpoint : endpoints_) all.push_back(endpoint.get());
+  all.reserve(n);
+  for (std::size_t id = 0; id < n; ++id) {
+    all.push_back(endpoint_at(static_cast<NodeId>(id)));
+  }
   return all;
 }
 
@@ -59,15 +84,9 @@ void SimNetwork::count_dropped(std::uint64_t n) {
 }
 
 void SimNetwork::send(NodeId from, NodeId to, MessagePtr msg) {
-  Endpoint* sender = nullptr;
-  Endpoint* dest = nullptr;
-  {
-    MutexLock lock(table_mu_);
-    const auto n = static_cast<NodeId>(endpoints_.size());
-    if (stopping_ || to < 0 || to >= n || from < 0 || from >= n) return;
-    sender = endpoints_[static_cast<std::size_t>(from)].get();
-    dest = endpoints_[static_cast<std::size_t>(to)].get();
-  }
+  Endpoint* const sender = lookup(from);
+  Endpoint* const dest = lookup(to);
+  if (sender == nullptr || dest == nullptr) return;
   const std::uint64_t now = now_ns();
   bool earliest = false;
   {
@@ -231,17 +250,16 @@ std::size_t SimNetwork::in_flight() const {
 }
 
 bool SimNetwork::crashed(NodeId node) const {
-  MutexLock lock(table_mu_);
-  if (node < 0 || node >= static_cast<NodeId>(endpoints_.size())) return true;
-  return endpoints_[static_cast<std::size_t>(node)]->crashed.load(
-      std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
+  const Endpoint* endpoint = endpoint_at(node);
+  return endpoint == nullptr ||
+         endpoint->crashed.load(std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
 }
 
 void SimNetwork::shutdown() {
   {
     MutexLock lock(table_mu_);
-    if (stopping_) return;
-    stopping_ = true;
+    if (stopping_.load(std::memory_order_acquire)) return;
+    stopping_.store(true, std::memory_order_release);
   }
   // Stop every dispatcher, then join outside every lock: a running handler
   // may call send().

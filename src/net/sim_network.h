@@ -8,8 +8,9 @@
 // until the head of its inbox is due, pops it and runs the handler with no
 // lock held (one message at a time per endpoint, like a socket read loop).
 // No thread but the sender and the receiver's dispatcher touches a message,
-// and no lock shared by all endpoints is held across a push, a notify or a
-// handler, so as on a real LAN a message costs its two ends and nobody else.
+// and send() takes no lock shared by all endpoints: it finds both ends in a
+// lock-free, append-only directory and then locks only the destination's
+// inbox. So, as on a real LAN, a message costs its two ends and nobody else.
 //
 // Link semantics are TCP-like, matching what BFT-SMaRt assumes: reliable
 // and FIFO per (from, to) pair, unless a fault is injected — links can be
@@ -17,6 +18,7 @@
 // a probabilistic drop rate exists for network-level tests.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -107,7 +109,7 @@ class SimNetwork final : public Transport {
 
   // One endpoint's timed inbox and everything send() needs to stamp a
   // message for it. Endpoints are never freed before the network, so a
-  // pointer looked up under table_mu_ stays valid after the lookup.
+  // pointer read from the directory stays valid after the lookup.
   struct Endpoint {
     Endpoint(Handler h, std::uint64_t seed)
         : handler(std::move(h)), rng(seed) {}
@@ -137,12 +139,22 @@ class SimNetwork final : public Transport {
     bool stopping PSMR_GUARDED_BY(mu) = false;
   };
 
+  // The endpoint directory: endpoint i lives in slot i % kChunkSize of
+  // chunk i / kChunkSize. Chunks are allocated on demand and never move, so
+  // send() reads the directory with no lock (see add_endpoint).
+  static constexpr std::size_t kChunkSize = 64;
+  static constexpr std::size_t kMaxChunks = 1024;  // 65536 endpoints
+  using Chunk = std::array<std::atomic<Endpoint*>, kChunkSize>;
+
   struct Metrics {
     Counter& delivered;
     Counter& dropped;
     Gauge& inflight;
   };
 
+  // The endpoint with id `node`, or nullptr if there is none. Lock-free.
+  Endpoint* endpoint_at(NodeId node) const;
+  // As endpoint_at, but nullptr too once the network is shutting down.
   Endpoint* lookup(NodeId node) const;
   // Every endpoint, for operations that visit all inboxes one at a time.
   std::vector<Endpoint*> all_endpoints() const;
@@ -154,11 +166,15 @@ class SimNetwork final : public Transport {
 
   const Config config_;
 
-  // Guards only the id -> endpoint table; held for lookups, never across
-  // an inbox lock, a notify or a handler.
+  // Serializes add_endpoint and shutdown; never taken by send(), never held
+  // across an inbox lock, a notify or a handler.
   mutable RankedMutex<lock_rank::kTransport> table_mu_;
-  std::vector<std::unique_ptr<Endpoint>> endpoints_ PSMR_GUARDED_BY(table_mu_);
-  bool stopping_ PSMR_GUARDED_BY(table_mu_) = false;
+  // add_endpoint fills a slot and then publishes it by storing count_
+  // (release); a reader that loads count_ (acquire) and finds the id below
+  // it sees the chunk and the slot.
+  std::array<std::atomic<Chunk*>, kMaxChunks> chunks_{};
+  std::atomic<std::size_t> count_{0};
+  std::atomic<bool> stopping_{false};
 
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> dropped_{0};

@@ -104,8 +104,13 @@ void Replica::stop() {
   }
   workers_.clear();
   // The scheduler may have exited (COS closed) with control tasks still
-  // queued; run them here so their waiters (e.g. a blocked state_digest)
-  // unblock. All replica threads are joined, so this is race-free.
+  // drained or queued; run them here so their waiters (e.g. a blocked
+  // state_digest) unblock. All replica threads are joined, so this is
+  // race-free.
+  for (Delivery& leftover : drained_) {
+    if (leftover.control) leftover.control();
+  }
+  drained_.clear();
   while (auto leftover = delivered_.pop()) {
     metrics_.queue_depth.sub(1);
     if (leftover->control) leftover->control();
@@ -151,17 +156,17 @@ void Replica::handle_message(NodeId from, const MessagePtr& m) {
 void Replica::on_request(NodeId from, const RequestMsg& m) {
   // Answer retransmissions of already-executed commands from the cache and
   // forward the rest into the ordering protocol (effective only if leader).
+  const auto client = static_cast<std::uint64_t>(from);  // authoritative
   std::vector<Command> fresh;
   fresh.reserve(m.commands.size());
   {
-    MutexLock lock(clients_mu_);
+    ReplyStripe& stripe = reply_stripe(client);
+    MutexLock lock(stripe.mu);
+    const auto cache = stripe.replies.find(client);
     for (Command c : m.commands) {
-      c.client = static_cast<std::uint64_t>(from);  // authoritative source
-      auto it = clients_.find(c.client);
-      if (it != clients_.end() && !it->second.replies.empty() &&
-          c.client_seq != 0) {
-        const Response& r =
-            it->second.replies[c.client_seq % kReplyCacheWindow];
+      c.client = client;
+      if (cache != stripe.replies.end() && c.client_seq != 0) {
+        const Response& r = cache->second[c.client_seq % kReplyCacheWindow];
         if (r.client_seq == c.client_seq) {
           metrics_.reply_cache_hits.inc();
           net_.send(endpoint_, from,
@@ -176,59 +181,79 @@ void Replica::on_request(NodeId from, const RequestMsg& m) {
   if (!fresh.empty() && b != nullptr) b->submit(fresh);
 }
 
+// Each wake-up takes every queued delivery with one lock and inserts all of
+// their fresh commands with one insert_batch, so a burst of one-command
+// batches pays one hand-off, not one per command. A control task first
+// flushes the commands queued before it, then waits for quiescence, so it
+// sees exactly the deliveries before it executed.
 void Replica::scheduler_loop() {
-  while (auto delivery = delivered_.pop()) {
-    metrics_.queue_depth.sub(1);
-    if (delivery->control) {
-      wait_quiescent();
-      delivery->control();
-      continue;
-    }
-    last_processed_seq_ = delivery->seq;
-    metrics_.batches.inc();
-    metrics_.batch_commands.inc(delivery->batch.size());
-    metrics_.batch_size.record(delivery->batch.size());
-    // At-most-once filtering (drop retransmissions / view-change
-    // re-proposals), then hand the surviving commands to the COS as one
-    // batch — the lock-free DAG inserts them in a single traversal.
-    std::vector<Command> fresh;
-    fresh.reserve(delivery->batch.size());
-    {
-      MutexLock lock(clients_mu_);
-      for (const Command& c : delivery->batch) {
-        if (c.client != 0) {
-          auto& state = clients_[c.client];
-          if (state.inserted_or_stale(c.client_seq)) {
-            metrics_.dedup_hits.inc();
-            continue;
-          }
-          state.mark_inserted(c.client_seq);
-        }
-        fresh.push_back(c);
-        fresh.back().id = next_command_id_++;
+  std::vector<Command> fresh;
+  while (delivered_.pop_all(drained_)) {
+    metrics_.queue_depth.sub(static_cast<std::int64_t>(drained_.size()));
+    while (!drained_.empty()) {
+      if (drained_.front().control) {
+        if (!schedule(fresh)) return;  // closed; stop() runs the control
+        wait_quiescent();
+        const std::function<void()> control =
+            std::move(drained_.front().control);
+        drained_.pop_front();
+        control();
+        continue;
       }
+      dedup(drained_.front(), fresh);
+      drained_.pop_front();
     }
-    scheduled_count_ += fresh.size();
-    if (cos_ == nullptr) {
-      // Sequential SMR: execute here, in delivery order. Timed into
-      // worker.exec_ns like worker_loop, so both modes report the stage.
-      if constexpr (kMetricsEnabled) {
-        const std::uint64_t t0 = now_ns();
-        for (const Command& c : fresh) execute_and_reply(c);
-        metrics_.worker_exec_ns.inc(now_ns() - t0);
-      } else {
-        for (const Command& c : fresh) execute_and_reply(c);
-      }
-    } else if (!fresh.empty()) {
-      if (!cos_->insert_batch(fresh)) return;  // closed
-      population_sum_.fetch_add(cos_->approx_size(),
-                                std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
-      population_samples_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
-    }
+    if (!schedule(fresh)) return;  // closed
   }
 }
 
-void Replica::ClientState::mark_inserted(std::uint64_t seq) {
+void Replica::dedup(const Delivery& delivery, std::vector<Command>& fresh) {
+  last_processed_seq_ = delivery.seq;
+  metrics_.batches.inc();
+  metrics_.batch_commands.inc(delivery.batch.size());
+  metrics_.batch_size.record(delivery.batch.size());
+  // At-most-once filtering: drop retransmissions and view-change
+  // re-proposals.
+  for (const Command& c : delivery.batch) {
+    if (c.client != 0) {
+      DedupWindow& window = windows_[c.client];
+      if (window.inserted_or_stale(c.client_seq)) {
+        metrics_.dedup_hits.inc();
+        continue;
+      }
+      window.mark_inserted(c.client_seq);
+    }
+    fresh.push_back(c);
+    fresh.back().id = next_command_id_++;
+  }
+}
+
+bool Replica::schedule(std::vector<Command>& fresh) {
+  if (fresh.empty()) return true;
+  scheduled_count_ += fresh.size();
+  bool open = true;
+  if (cos_ == nullptr) {
+    // Sequential SMR: execute here, in delivery order. Timed into
+    // worker.exec_ns like worker_loop, so both modes report the stage.
+    if constexpr (kMetricsEnabled) {
+      const std::uint64_t t0 = now_ns();
+      for (const Command& c : fresh) execute_and_reply(c);
+      metrics_.worker_exec_ns.inc(now_ns() - t0);
+    } else {
+      for (const Command& c : fresh) execute_and_reply(c);
+    }
+  } else if (cos_->insert_batch(fresh)) {
+    population_sum_.fetch_add(cos_->approx_size(),
+                              std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
+    population_samples_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
+  } else {
+    open = false;
+  }
+  fresh.clear();
+  return open;
+}
+
+void Replica::DedupWindow::mark_inserted(std::uint64_t seq) {
   if (seq > max_inserted_seq) {
     // The seqs skipped on the way up were not inserted; their bits still
     // describe seqs that are leaving the window.
@@ -244,7 +269,7 @@ void Replica::ClientState::mark_inserted(std::uint64_t seq) {
   assign(seq, true);
 }
 
-bool Replica::ClientState::consistent() const {
+bool Replica::DedupWindow::consistent() const {
   if (max_inserted_seq == 0) {
     return std::all_of(inserted.begin(), inserted.end(),
                        [](std::uint64_t word) { return word == 0; });
@@ -287,11 +312,12 @@ void Replica::execute_and_reply(const Command& c) {
   executed_.fetch_add(1, std::memory_order_release);
   if (c.client == 0) return;  // internally generated (tests)
   {
-    MutexLock lock(clients_mu_);
-    auto& replies = clients_[c.client].replies;
-    if (replies.empty()) replies.resize(kReplyCacheWindow);
+    ReplyStripe& stripe = reply_stripe(c.client);
+    MutexLock lock(stripe.mu);
+    auto [cache, created] = stripe.replies.try_emplace(c.client);
+    if (created) cache->second.resize(kReplyCacheWindow);
     // Keep the newer command if two a window apart finish out of order.
-    Response& slot = replies[c.client_seq % kReplyCacheWindow];
+    Response& slot = cache->second[c.client_seq % kReplyCacheWindow];
     if (slot.client_seq < c.client_seq) {
       slot = r;
       slot.client_seq = c.client_seq;  // the tag
@@ -334,17 +360,18 @@ std::uint64_t Replica::state_digest() {
 // contains, and still inserts the ones it does not). Reply caches are
 // intentionally not shipped: the peers that produced the checkpoint still
 // hold theirs, and the crash model guarantees a correct replica can answer
-// retransmissions.
+// retransmissions. Installing a checkpoint leaves this replica's own reply
+// cache as it is: each entry is the reply of a command it executed, which
+// every replica answers identically. Both run on the scheduler thread.
 std::vector<std::uint8_t> Replica::encode_checkpoint() {
   ByteWriter out;
   const std::vector<std::uint8_t> service_bytes = service_->snapshot();
   out.put_bytes(service_bytes);
-  MutexLock lock(clients_mu_);
-  out.put_varint(clients_.size());
-  for (const auto& [client, state] : clients_) {
+  out.put_varint(windows_.size());
+  for (const auto& [client, window] : windows_) {
     out.put_varint(client);
-    out.put_varint(state.max_inserted_seq);
-    for (const std::uint64_t word : state.inserted) out.put_u64(word);
+    out.put_varint(window.max_inserted_seq);
+    for (const std::uint64_t word : window.inserted) out.put_u64(word);
   }
   return out.take();
 }
@@ -355,17 +382,16 @@ bool Replica::decode_checkpoint(std::span<const std::uint8_t> bytes) {
   if (!in.ok() || !service_->restore(service_bytes)) return false;
   const std::uint64_t clients = in.get_varint();
   if (!in.ok() || clients > in.remaining() + 1) return false;
-  std::unordered_map<std::uint64_t, ClientState> table;
+  std::unordered_map<std::uint64_t, DedupWindow> table;
   for (std::uint64_t i = 0; i < clients; ++i) {
     const std::uint64_t client = in.get_varint();
-    ClientState& state = table[client];
-    state.max_inserted_seq = in.get_varint();
-    for (std::uint64_t& word : state.inserted) word = in.get_u64();
-    if (!in.ok() || !state.consistent()) return false;
+    DedupWindow& window = table[client];
+    window.max_inserted_seq = in.get_varint();
+    for (std::uint64_t& word : window.inserted) word = in.get_u64();
+    if (!in.ok() || !window.consistent()) return false;
   }
   if (!in.ok()) return false;
-  MutexLock lock(clients_mu_);
-  clients_ = std::move(table);
+  windows_ = std::move(table);
   return true;
 }
 

@@ -1,10 +1,11 @@
 // SMR replica (paper Fig. 1 and Alg. 1).
 //
 // Parallel mode ("P-SMR"): the atomic-broadcast deliver callback feeds a
-// hand-off queue; the *scheduler* (parallelizer) thread pops delivered
-// batches, deduplicates retransmissions, stamps delivery order, and inserts
-// each command into the COS; a pool of *worker* threads loops
-// get -> execute -> remove and replies to the command's client.
+// hand-off queue; the *scheduler* (parallelizer) thread drains every queued
+// delivered batch at each wake-up, deduplicates retransmissions, stamps
+// delivery order, and inserts the surviving commands into the COS with one
+// insert_batch; a pool of *worker* threads loops get -> execute -> remove
+// and replies to the command's client.
 //
 // Sequential mode (classical SMR): the scheduler thread itself executes
 // every command in delivery order — no COS, no workers.
@@ -22,11 +23,16 @@
 // after a view change, yet still inserts a pipelined command whose first
 // Request was lost while later ones went through. The replica answers
 // retransmissions of already-executed commands from a bounded reply cache.
+//
+// No lock shared by all clients is on the command path: the dedup windows
+// belong to the scheduler thread alone, and the reply cache is split into
+// stripes by client id, so replies to different clients rarely meet.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -36,6 +42,7 @@
 #include "broadcast/sequenced_broadcast.h"
 #include "common/blocking_queue.h"
 #include "common/metrics.h"
+#include "common/padded.h"
 #include "common/ranked_mutex.h"
 #include "common/thread_annotations.h"
 #include "cos/factory.h"
@@ -100,6 +107,9 @@ class Replica {
   }
   const Service& service() const { return *service_; }
   double mean_graph_population() const;
+  // Deliveries waiting for the scheduler's next drain (a drain in progress
+  // is not counted).
+  std::size_t queued_deliveries() const { return delivered_.size(); }
 
   // Simulates a crash: the endpoint goes silent and all replica threads
   // stop. Used by fault-tolerance tests and the fault_tolerance example.
@@ -134,6 +144,13 @@ class Replica {
   // while the replica still claims to be running (see replica.cc).
   bool push_delivery(Delivery d, const char* what);
   void scheduler_loop();
+  // Scheduler thread: at-most-once filters one delivered batch and appends
+  // its fresh commands, numbered in delivery order, to `fresh`.
+  void dedup(const Delivery& delivery, std::vector<Command>& fresh);
+  // Scheduler thread: hands `fresh` to execution, as one insert_batch into
+  // the COS or, in sequential mode, by executing it here in order, and
+  // clears it. False once the COS is closed.
+  bool schedule(std::vector<Command>& fresh);
   void worker_loop();
   void execute_and_reply(const Command& c);
 
@@ -165,22 +182,17 @@ class Replica {
   std::vector<std::thread> workers_;  // NOLINT(psmr-guarded-by-coverage) created/joined by the owner thread only
   std::atomic<bool> running_{false};
 
-  // Per-client at-most-once state. clients_mu_ is held across net_.send on
-  // the reply-cache hit path (its rank precedes the transport rank) and is
-  // never held together with COS locks.
-  //
-  // The reply cache is a ring of kReplyCacheWindow slots indexed by
-  // client_seq % kReplyCacheWindow and tagged by the Response's client_seq
-  // (never 0 for an executed command), sized on the client's first reply:
-  // O(1) lookup and insert under clients_mu_, no allocation after that.
-  //
-  // The at-most-once bitmap is a ring over the same window: bit
-  // client_seq % kReplyCacheWindow is set iff that seq, within the window
-  // ending at max_inserted_seq, was inserted.
-  struct ClientState {
+  // Deliveries taken from delivered_ by the scheduler's latest drain and
+  // not yet processed. Scheduler thread only; stop() runs the control tasks
+  // left here once every replica thread is joined.
+  std::deque<Delivery> drained_;  // NOLINT(psmr-guarded-by-coverage) scheduler thread only; read by stop() after the join
+
+  // Per-client at-most-once window. The bitmap is a ring over the window:
+  // bit client_seq % kReplyCacheWindow is set iff that seq, within the
+  // window ending at max_inserted_seq, was inserted.
+  struct DedupWindow {
     std::uint64_t max_inserted_seq = 0;
     std::array<std::uint64_t, kReplyCacheWindow / 64> inserted{};
-    std::vector<Response> replies;  // empty until the first reply
 
     // True if `seq` must not be inserted: it was, or it is too old to tell
     // (below the window, or 0, which no client issues).
@@ -206,9 +218,29 @@ class Replica {
                                  : inserted[bit / 64] & ~mask;
     }
   };
-  mutable RankedMutex<lock_rank::kReplicaClients> clients_mu_;
-  std::unordered_map<std::uint64_t, ClientState> clients_
-      PSMR_GUARDED_BY(clients_mu_);
+  // Read and written only on the scheduler thread: by dedup(), and by the
+  // checkpoint encode/decode, which run there as control tasks.
+  std::unordered_map<std::uint64_t, DedupWindow> windows_;  // NOLINT(psmr-guarded-by-coverage) scheduler thread only
+
+  // Reply cache, written by workers (or the sequential scheduler) and read
+  // by on_request. Each client's cache is a ring of kReplyCacheWindow slots
+  // indexed by client_seq % kReplyCacheWindow and tagged by the Response's
+  // client_seq (never 0 for an executed command), created on the client's
+  // first reply: O(1) lookup and insert, no allocation after that. Clients
+  // are spread over kReplyStripes stripes by id, each with its own lock, so
+  // replies to different clients do not serialize. A stripe lock is held
+  // across net_.send on the cache-hit path (its rank precedes the transport
+  // rank), is never held with another stripe's, and never with COS locks.
+  static constexpr std::size_t kReplyStripes = 16;
+  struct ReplyStripe {
+    RankedMutex<lock_rank::kReplicaClients> mu;
+    std::unordered_map<std::uint64_t, std::vector<Response>> replies
+        PSMR_GUARDED_BY(mu);
+  };
+  ReplyStripe& reply_stripe(std::uint64_t client) {
+    return *reply_stripes_[client % kReplyStripes];
+  }
+  std::array<Padded<ReplyStripe>, kReplyStripes> reply_stripes_;
 
   std::atomic<std::uint64_t> executed_{0};
   std::uint64_t scheduled_count_ = 0;  // commands handed off; scheduler only  // NOLINT(psmr-guarded-by-coverage) scheduler thread only

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "app/bank_service.h"
@@ -75,6 +76,51 @@ TEST(LinkedList, CommandBuildersSetModes) {
   EXPECT_FALSE(rw_conflict(read, read));
   EXPECT_TRUE(rw_conflict(read, write));
   EXPECT_TRUE(rw_conflict(write, write));
+}
+
+// Every node of a list built from a range or restored from a snapshot lies
+// in one array, in ascending list order, whatever the allocator did before:
+// node i of the walk sits exactly i nodes past the head.
+void ExpectContiguousInListOrder(const LinkedListService& service,
+                                 std::size_t nodes) {
+  const std::vector<const void*> addresses = service.node_addresses();
+  ASSERT_EQ(addresses.size(), nodes);
+  const auto* head = static_cast<const char*>(addresses.front());
+  const std::size_t stride =
+      nodes > 1 ? static_cast<std::size_t>(
+                      static_cast<const char*>(addresses[1]) - head)
+                : 0;
+  ASSERT_GT(stride, 0u);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    ASSERT_EQ(static_cast<const char*>(addresses[i]), head + i * stride)
+        << "node " << i;
+  }
+}
+
+TEST(LinkedList, InitialNodesAreContiguousInListOrder) {
+  // Fragment the heap first, so a node-by-node build would interleave.
+  std::vector<std::unique_ptr<std::uint64_t[]>> holes;
+  for (int i = 0; i < 1000; ++i) {
+    holes.push_back(std::make_unique<std::uint64_t[]>(2));
+    if (i % 2 == 0) holes.back().reset();
+  }
+  LinkedListService service(10'000);
+  ExpectContiguousInListOrder(service, 10'000);
+}
+
+TEST(LinkedList, RestoredNodesAreContiguousAndAddsLinkOutside) {
+  LinkedListService source(100);
+  ASSERT_TRUE(source.execute(LinkedListService::make_add(1000)).ok);
+  LinkedListService copy(3);
+  ASSERT_TRUE(copy.execute(LinkedListService::make_add(50)).ok);
+  ASSERT_TRUE(copy.restore(source.snapshot()));
+  EXPECT_EQ(copy.state_digest(), source.state_digest());
+  ExpectContiguousInListOrder(copy, 101);
+  // A new value gets a node of its own, linked in order; the destructor
+  // frees it and leaves the arena nodes to the arena.
+  ASSERT_TRUE(copy.execute(LinkedListService::make_add(500)).ok);
+  ASSERT_TRUE(copy.execute(LinkedListService::make_contains(500)).ok);
+  EXPECT_EQ(copy.size(), 102u);
 }
 
 TEST(LinkedList, ExecCostSizesMatchPaper) {

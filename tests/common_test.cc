@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <deque>
+#include <functional>
 #include <numeric>
 #include <thread>
 #include <vector>
 
 #include "common/blocking_queue.h"
 #include "common/histogram.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/semaphore.h"
 #include "common/spsc_ring.h"
@@ -110,6 +115,138 @@ TEST(Semaphore, ManyProducersManyConsumersConserved) {
   EXPECT_EQ(consumed.load(), kProducers * kPerProducer);
 }
 
+// Waits until `done()` holds or `timeout_ms` passes; returns done().
+bool eventually(const std::function<bool()>& done, int timeout_ms = 10000) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return done();
+}
+
+TEST(Semaphore, StressEveryReleasedPermitIsAcquiredAndNoneWaitsUnseen) {
+  // P producers release permits one at a time and in bursts while C
+  // consumers take them through acquire() and try_acquire(). Every permit
+  // released is acquired exactly once, and once the producers stop, the
+  // consumers take what is left within a bounded wait: a parked consumer
+  // that missed a release would leave permits behind.
+  Semaphore sem(0);
+  constexpr int kProducers = 3;
+  constexpr int kConsumers = 4;
+  constexpr int kRounds = 3000;
+  std::atomic<long long> released{0};
+  std::atomic<long long> acquired{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      Xoshiro256 rng(static_cast<std::uint64_t>(p) + 7);
+      for (int i = 0; i < kRounds; ++i) {
+        const auto n = static_cast<std::ptrdiff_t>(1 + rng.below(3));
+        sem.release(n);
+        released.fetch_add(n);
+        if (rng.below(16) == 0) std::this_thread::yield();
+      }
+    });
+  }
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&, c] {
+      while (true) {
+        const bool got = c % 2 == 0 ? sem.acquire() : sem.try_acquire();
+        if (got) {
+          acquired.fetch_add(1);
+        } else if (sem.closed()) {
+          return;
+        } else {
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  const bool drained = eventually([&] {
+    return acquired.load() == released.load() && sem.available() == 0;
+  });
+  sem.close();
+  for (auto& t : consumers) t.join();
+  EXPECT_TRUE(drained) << "permits left unconsumed: " << sem.available();
+  EXPECT_EQ(acquired.load(), released.load());
+  EXPECT_EQ(sem.available(), 0);
+}
+
+TEST(Semaphore, PingPongNeverLosesAWakeUp) {
+  // Two threads hand one permit back and forth through two semaphores, so
+  // nearly every acquire parks and every release must find its waiter. A
+  // lost wake-up stalls the exchange; the bounded wait then closes both and
+  // the test fails instead of hanging.
+  Semaphore ping(0);
+  Semaphore pong(0);
+  constexpr int kRounds = 20000;
+  std::atomic<int> rounds{0};
+  std::thread echo([&] {
+    while (ping.acquire()) pong.release();
+  });
+  std::thread pinger([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      ping.release();
+      if (!pong.acquire()) return;
+      rounds.fetch_add(1);
+    }
+  });
+  const bool finished = eventually([&] { return rounds.load() == kRounds; },
+                                    60000);
+  ping.close();
+  pong.close();
+  echo.join();
+  pinger.join();
+  EXPECT_TRUE(finished) << "stalled after " << rounds.load() << " rounds";
+}
+
+TEST(Semaphore, AcquireAfterCloseFailsWhilePermitsRemain) {
+  Semaphore sem(0);
+  sem.release(3);
+  sem.close();
+  sem.release(2);  // a release after close does not reopen it
+  EXPECT_FALSE(sem.acquire());
+  EXPECT_FALSE(sem.try_acquire());
+  EXPECT_EQ(sem.available(), 5);
+}
+
+TEST(Semaphore, InstrumentCountsOnlyRealParks) {
+  Counter blocks;
+  Counter blocked_ns;
+  Counter wakes;
+  Counter wake_ns;
+  Semaphore sem(4);
+  sem.instrument(&blocks, &blocked_ns, &wakes, &wake_ns);
+  // Permits are there: the fast path takes them without parking.
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(sem.acquire());
+  sem.release(2);
+  EXPECT_TRUE(sem.try_acquire());
+  EXPECT_TRUE(sem.acquire());
+  EXPECT_EQ(blocks.value(), 0u);
+  EXPECT_EQ(wakes.value(), 0u);
+  // An empty acquire parks once and is woken by the release.
+  std::atomic<bool> got{false};
+  std::thread waiter([&] { got.store(sem.acquire()); });
+  if constexpr (kMetricsEnabled) {
+    EXPECT_TRUE(eventually([&] { return blocks.value() == 1; }));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  sem.release();
+  waiter.join();
+  EXPECT_TRUE(got.load());
+  if constexpr (kMetricsEnabled) {
+    EXPECT_EQ(blocks.value(), 1u);
+    EXPECT_GT(blocked_ns.value(), 0u);
+    EXPECT_EQ(wakes.value(), 1u);
+    EXPECT_LE(wake_ns.value(), blocked_ns.value());
+  } else {
+    EXPECT_EQ(blocks.value(), 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // BlockingQueue
 // ---------------------------------------------------------------------------
@@ -175,6 +312,76 @@ TEST(BlockingQueue, ConcurrentProducersConsumersLoseNothing) {
   const long long n = kProducers * kItems;
   EXPECT_EQ(count.load(), n);
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+}
+
+TEST(BlockingQueue, PopAllTakesEverythingInOrder) {
+  BlockingQueue<int> q;
+  for (int i = 0; i < 5; ++i) q.push(i);
+  std::deque<int> out{42};  // cleared first
+  ASSERT_TRUE(q.pop_all(out));
+  EXPECT_EQ(out, (std::deque<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(q.size(), 0u);
+  q.push(5);
+  q.push(6);
+  ASSERT_TRUE(q.pop_all(out));
+  EXPECT_EQ(out, (std::deque<int>{5, 6}));
+}
+
+TEST(BlockingQueue, PopAllDrainsAfterCloseThenReportsClosed) {
+  BlockingQueue<int> q;
+  q.push(1);
+  q.push(2);
+  q.close();
+  EXPECT_FALSE(q.push(3));
+  std::deque<int> out;
+  ASSERT_TRUE(q.pop_all(out));
+  EXPECT_EQ(out, (std::deque<int>{1, 2}));
+  EXPECT_FALSE(q.pop_all(out));
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(BlockingQueue, PopAllBlocksUntilPushOrClose) {
+  BlockingQueue<int> q;
+  std::deque<int> out;
+  std::thread t([&] {
+    EXPECT_TRUE(q.pop_all(out));
+    EXPECT_EQ(out, (std::deque<int>{7}));
+    EXPECT_FALSE(q.pop_all(out));  // woken by close
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  q.push(7);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  q.close();
+  t.join();
+}
+
+TEST(BlockingQueue, PopAllUnderConcurrentProducersLosesNothing) {
+  BlockingQueue<int> q;
+  constexpr int kProducers = 3;
+  constexpr int kItems = 5000;
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kItems; ++i) q.push(p * kItems + i);
+    });
+  }
+  std::vector<int> last(kProducers, -1);
+  int count = 0;
+  std::thread consumer([&] {
+    std::deque<int> out;
+    while (q.pop_all(out)) {
+      for (const int v : out) {
+        // Each producer's items arrive in the order it pushed them.
+        EXPECT_GT(v % kItems, last[static_cast<size_t>(v / kItems)]);
+        last[static_cast<size_t>(v / kItems)] = v % kItems;
+        ++count;
+      }
+    }
+  });
+  for (auto& t : producers) t.join();
+  q.close();
+  consumer.join();
+  EXPECT_EQ(count, kProducers * kItems);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@
 #include "app/kv_service.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "cos/conflict.h"
+#include "cos/factory.h"
 #include "smr/deployment.h"
 
 namespace psmr {
@@ -247,6 +249,47 @@ TEST(MetricsEndToEnd, SequentialReplicaReportsExecTime) {
   const MetricsSnapshot after = MetricsRegistry::global().snapshot();
   if constexpr (!kMetricsEnabled) return;
   EXPECT_GT(delta(before, after, "worker.exec_ns"), 0u);
+}
+
+// cos.get_block_ns splits into wake latency and time with nothing ready: a
+// get() parked on an empty ready set, then woken by an insert, must bump
+// cos.get_wakes and add the release-to-return gap to cos.get_wake_ns.
+TEST(MetricsCos, WokenGetReportsWakeLatency) {
+  const MetricsSnapshot before = MetricsRegistry::global().snapshot();
+  const std::unique_ptr<Cos> cos = make_cos({.conflict = rw_conflict});
+  std::atomic<bool> got{false};
+  std::thread worker([&] {
+    CosHandle h = cos->get();
+    if (!h) return;  // closed: `got` stays false and the test fails
+    got.store(true);
+    cos->remove(h);
+  });
+  // Wait until the worker is parked, so the insert's release finds it.
+  while (MetricsRegistry::global().snapshot().counter("cos.get_blocks") ==
+             before.counter("cos.get_blocks") &&
+         kMetricsEnabled) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_FALSE(got.load());
+  Command c;
+  c.mode = AccessMode::kWrite;
+  ASSERT_TRUE(cos->insert(c));
+  worker.join();
+  EXPECT_TRUE(got.load());
+  cos->close();
+
+  const MetricsSnapshot after = MetricsRegistry::global().snapshot();
+  if constexpr (!kMetricsEnabled) {
+    EXPECT_TRUE(after.empty());
+    return;
+  }
+  EXPECT_EQ(delta(before, after, "cos.get_wakes"), 1u);
+  EXPECT_GT(delta(before, after, "cos.get_wake_ns"), 0u);
+  // The wake is part of the park, which lasted at least the sleep above.
+  EXPECT_GE(delta(before, after, "cos.get_block_ns"),
+            delta(before, after, "cos.get_wake_ns"));
+  EXPECT_GE(delta(before, after, "cos.get_block_ns"), 5'000'000u);
 }
 
 TEST(MetricsEndToEnd, ResendAndDuplicateCountersMoveUnderMessageLoss) {

@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/stopwatch.h"
 #include "net/sim_network.h"
 
@@ -372,6 +373,65 @@ TEST(SimNetwork, SendToRemovedEndpointCountsAsDropped) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(count.load(), 0);
   EXPECT_EQ(net.messages_delivered(), 0u);
+}
+
+TEST(SimNetwork, AddEndpointRacesSendsFromOtherThreads) {
+  // send() reads the endpoint directory with no lock while add_endpoint
+  // grows it chunk by chunk. Every message to an endpoint that add_endpoint
+  // had already returned must arrive; a send to an id not added yet is
+  // dropped or, if the id appears meanwhile, delivered, but never harmful.
+  SimNetwork::Config config;
+  config.base_latency_us = 5;
+  config.jitter_us = 5;
+  SimNetwork net(config);
+  constexpr int kSenders = 3;
+  constexpr int kAdded = 140;  // crosses two chunk boundaries
+  constexpr int kTotal = kSenders + kAdded;
+  std::vector<std::atomic<int>> received(kTotal);
+  std::vector<std::atomic<int>> expected(kTotal);
+  auto counter = [&](int id) {
+    return [&received, id](NodeId, MessagePtr) { received[id].fetch_add(1); };
+  };
+  for (int s = 0; s < kSenders; ++s) {
+    ASSERT_EQ(net.add_endpoint(counter(s)), s);
+  }
+  std::atomic<int> published{kSenders};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> senders;
+  for (int s = 0; s < kSenders; ++s) {
+    senders.emplace_back([&, s] {
+      Xoshiro256 rng(static_cast<std::uint64_t>(s) + 1);
+      while (!done.load()) {
+        const int n = published.load();
+        const auto to = static_cast<NodeId>(
+            rng.below(static_cast<std::uint64_t>(n)));
+        net.send(s, to, make_message<IntMsg>(0));
+        expected[to].fetch_add(1);
+        net.send(s, n + static_cast<NodeId>(rng.below(4)),
+                 make_message<IntMsg>(0));
+      }
+    });
+  }
+  for (int i = 0; i < kAdded; ++i) {
+    const NodeId id = net.add_endpoint(counter(kSenders + i));
+    ASSERT_EQ(id, kSenders + i);
+    published.store(id + 1);
+    std::this_thread::yield();
+  }
+  done.store(true);
+  for (auto& t : senders) t.join();
+  auto all_arrived = [&] {
+    for (int id = 0; id < kTotal; ++id) {
+      if (received[id].load() < expected[id].load()) return false;
+    }
+    return true;
+  };
+  for (int t = 0; t < 2000 && !all_arrived(); ++t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (int id = 0; id < kTotal; ++id) {
+    EXPECT_GE(received[id].load(), expected[id].load()) << "endpoint " << id;
+  }
 }
 
 }  // namespace

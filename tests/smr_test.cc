@@ -4,8 +4,14 @@
 // convergence, at-most-once execution, the bank-conservation invariant, and
 // leader-crash recovery.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
+#include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -632,6 +638,210 @@ TEST(SmrDedup, CommandWhoseFirstRequestWasLostStillExecutes) {
     EXPECT_EQ(deployment.replica(i).executed_count(), completed)
         << "replica " << i;
   }
+}
+
+// Counts executed commands; the first execute() parks until the gate opens.
+// Every command is a write, so executions never overlap.
+class GatedCounterService final : public Service {
+ public:
+  GatedCounterService(std::atomic<bool>& gate, std::atomic<bool>& entered)
+      : gate_(gate), entered_(entered) {}
+
+  Response execute(const Command& c) override {
+    if (executed_ == 0) {
+      entered_.store(true);
+      while (!gate_.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    ++executed_;
+    return {c.client, c.client_seq, executed_, true};
+  }
+  ConflictFn conflict() const override { return rw_conflict; }
+  std::uint64_t state_digest() const override { return executed_; }
+  std::vector<std::uint8_t> snapshot() const override { return {}; }
+  bool restore(std::span<const std::uint8_t>) override { return false; }
+  const char* name() const override { return "gated-counter"; }
+
+ private:
+  std::atomic<bool>& gate_;
+  std::atomic<bool>& entered_;
+  std::uint64_t executed_ = 0;
+};
+
+bool wait_until(const std::function<bool()>& done) {
+  for (int t = 0; t < 5000 && !done(); ++t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+// The scheduler takes its whole queue at each wake-up. A control task
+// drained together with deliveries queued before it must schedule those
+// first and wait until they have executed. Command 1 parks in execute(),
+// which holds the scheduler: in sequential mode it executes command 1
+// itself; with a one-slot graph it parks inserting command 2. Commands
+// 3..6 (2..6 in sequential mode) and then the digest request queue up
+// behind it, and are drained together once the gate opens.
+void ExpectDigestSeesDrainedDeliveries(SchedulerPolicy policy) {
+  constexpr std::uint64_t kCommands = 6;
+  const bool sequential = policy == SchedulerPolicy::kSequential;
+  std::atomic<bool> gate{false};
+  std::atomic<bool> entered{false};
+  Deployment::Config config = make_config(policy, CosKind::kLockFree, 2);
+  config.replicas = 1;
+  config.replica.cos.capacity = 1;
+  Deployment deployment(config, [&] {
+    return std::make_unique<GatedCounterService>(gate, entered);
+  });
+  deployment.start();
+  Replica& replica = deployment.replica(0);
+  RawClient client(deployment);
+  auto send = [&](std::uint64_t seq) {
+    Command c;
+    c.mode = AccessMode::kWrite;
+    c.client_seq = seq;
+    client.send({c});
+  };
+  const std::uint64_t insert_blocks =
+      MetricsRegistry::global().counter("cos.insert_blocks").value();
+
+  send(1);
+  bool held = wait_until([&] { return entered.load(); });
+  std::uint64_t seq = 2;
+  if (!sequential) {
+    send(seq++);
+    held = held && wait_until([&] {
+             return MetricsRegistry::global()
+                        .counter("cos.insert_blocks")
+                        .value() > insert_blocks;
+           });
+  }
+  const std::size_t queued = kCommands - seq + 1;
+  for (; seq <= kCommands; ++seq) send(seq);
+  held = held &&
+         wait_until([&] { return replica.queued_deliveries() == queued; });
+  std::future<std::uint64_t> digest = std::async(
+      std::launch::async, [&] { return replica.state_digest(); });
+  held = held && wait_until([&] {
+           return replica.queued_deliveries() == queued + 1;
+         });
+  gate.store(true);  // always, so nothing stays parked if a wait failed
+  EXPECT_TRUE(held) << "the scheduler was not held with the queue filled";
+  EXPECT_EQ(digest.get(), kCommands);
+  EXPECT_TRUE(client.wait_replies(kCommands, 1));
+  deployment.stop();
+}
+
+TEST(SmrScheduler, StateDigestBehindDrainedDeliveriesSeesThemSequential) {
+  ExpectDigestSeesDrainedDeliveries(SchedulerPolicy::kSequential);
+}
+
+TEST(SmrScheduler, StateDigestBehindDrainedDeliveriesSeesThemCosDag) {
+  if constexpr (!kMetricsEnabled) {
+    GTEST_SKIP() << "needs cos.insert_blocks to see the scheduler parked";
+  }
+  ExpectDigestSeesDrainedDeliveries(SchedulerPolicy::kCosDag);
+}
+
+// Runs a 3-replica deployment under closed-loop load in this (forked)
+// process, reports on `ready` once the load runs, waits on `resumed` while
+// the parent stops and continues it three times, then runs on for a while.
+// Returns 0 if no replica left view 0 and every client drained; otherwise
+// exits the process at once with 1 (a client did not drain) or 2 (a replica
+// changed view), leaving the deployment running.
+int run_stalled_deployment(int ready, int resumed) {
+  Deployment::Config config;
+  config.replicas = 3;
+  config.net = fast_net();
+  config.replica.workers = 2;
+  Deployment deployment(config, [] { return std::make_unique<KvService>(); });
+  KvService builder;
+  std::atomic<std::uint64_t> next{0};
+  SmrClient::Config client_config;
+  client_config.pipeline = 16;
+  for (int c = 0; c < 8; ++c) {
+    deployment.add_client(client_config, [&] {
+      const std::uint64_t n = next.fetch_add(1);
+      return n % 2 == 0 ? builder.make_put(n % 64, n) : builder.make_get(n % 64);
+    });
+  }
+  deployment.start();
+  for (int t = 0; t < 2000 && deployment.total_client_completed() < 2000; ++t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  char byte = 1;
+  if (write(ready, &byte, 1) != 1 || read(resumed, &byte, 1) != 1) return 3;
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  bool drained = true;
+  const std::uint64_t deadline_ns = now_ns() + 5'000'000'000ull;
+  for (SmrClient* client : deployment.clients()) {
+    const std::uint64_t now = now_ns();
+    const std::uint64_t left_ms =
+        now < deadline_ns ? (deadline_ns - now) / 1'000'000 : 0;
+    drained = client->drain(left_ms) && drained;
+  }
+  int code = drained ? 0 : 1;
+  for (int i = 0; i < deployment.replica_count(); ++i) {
+    if (deployment.replica(i).view() != 0) {
+      std::fprintf(stderr, "replica %d moved to view %llu\n", i,
+                   static_cast<unsigned long long>(deployment.replica(i).view()));
+      code = 2;
+    }
+  }
+  if (!drained) std::fprintf(stderr, "a client did not drain\n");
+  if (code != 0) {
+    std::fflush(stderr);
+    _exit(code);  // skip the teardown: a wedged deployment may not stop
+  }
+  deployment.stop();
+  return 0;
+}
+
+TEST(SmrStall, StoppedProcessDoesNotSuspectItsLeader) {
+  // A stall of the whole process (SIGSTOP, a descheduled VM, paging) halts
+  // the leader and its followers alike. When it ends, a follower's timer
+  // must not read the silence as a dead leader before its dispatcher has
+  // read the leader's messages waiting in the inbox.
+  int ready[2];
+  int resumed[2];
+  ASSERT_EQ(pipe(ready), 0);
+  ASSERT_EQ(pipe(resumed), 0);
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    close(ready[0]);
+    close(resumed[1]);
+    _exit(run_stalled_deployment(ready[1], resumed[0]));
+  }
+  close(ready[1]);
+  close(resumed[0]);
+  char byte = 0;
+  const bool loaded = read(ready[0], &byte, 1) == 1;
+  for (int stall = 0; loaded && stall < 3; ++stall) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_EQ(kill(child, SIGSTOP), 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    EXPECT_EQ(kill(child, SIGCONT), 0);
+  }
+  EXPECT_EQ(write(resumed[1], &byte, 1), 1);
+  close(ready[0]);
+  close(resumed[1]);
+  int status = 0;
+  pid_t waited = 0;
+  for (int t = 0; t < 6000 && waited == 0; ++t) {
+    waited = waitpid(child, &status, WNOHANG);
+    if (waited == 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (waited == 0) {
+    kill(child, SIGKILL);
+    waitpid(child, &status, 0);
+  }
+  ASSERT_EQ(waited, child) << "the child did not exit within 60 s";
+  EXPECT_TRUE(loaded) << "the child never reported its load running";
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: a client did not drain, 2: a replica changed view";
 }
 
 }  // namespace

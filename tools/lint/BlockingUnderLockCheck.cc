@@ -26,7 +26,8 @@ namespace {
 // push never blocks — it is called under the owner's lock by design in the
 // sim network and both transports.
 constexpr char kDefaultMethods[] =
-    "psmr::Semaphore::acquire;psmr::BlockingQueue::pop";
+    "psmr::Semaphore::acquire;psmr::BlockingQueue::pop;"
+    "psmr::BlockingQueue::pop_all";
 constexpr char kDefaultFunctions[] =
     "connect;accept;poll;select;epoll_wait;recv;recvfrom;recvmsg;send;"
     "sendto;sendmsg;nanosleep;usleep;sleep;std::this_thread::sleep_for;"
